@@ -14,13 +14,16 @@
 //     and ns_per_op with only the known optional metrics besides, and an
 //     optional before array of the same entry shape (minus iterations,
 //     which a superseded run need not retain);
-//   - every `BENCH_*.json` reference in a root or docs/ markdown page must
-//     name a committed file, and every committed BENCH file must be cited
-//     by at least one page (an uncited record is dead weight; delete it or
-//     document it).
+//   - every `BENCH_*.json` reference in README.md, DESIGN.md or a docs/
+//     page must name a committed file, and every committed BENCH file must
+//     be cited by at least one of those pages (an uncited record is dead
+//     weight; delete it or document it).
 //
-// ISSUE.md and CHANGES.md are excluded from the markdown scan: they narrate
-// work, including records that do not exist yet.
+// Only those pages are scanned. The other root pages, such as the change
+// log and the roadmap, narrate work, including records that do not exist yet
+// (the roadmap's open items name records that are planned but not
+// committed). A mention in one of them neither has to resolve nor counts as
+// the citation that keeps a committed record from being orphaned.
 //
 // The check anchors on the root command package (cmd/carbonexplorer), runs
 // once per lint invocation, and positions findings inside the JSON and
@@ -70,9 +73,10 @@ var dateRE = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}$`)
 // refRE finds BENCH file citations in markdown.
 var refRE = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
 
-// skipMarkdown lists narrative files whose BENCH mentions are not
-// citations.
-var skipMarkdown = map[string]bool{"ISSUE.md": true, "CHANGES.md": true}
+// citingPages are the glob patterns, relative to the module root, of the
+// pages whose BENCH mentions are citations. Mentions anywhere else need not
+// resolve, and they do not rescue an orphaned record.
+var citingPages = []string{"README.md", "DESIGN.md", filepath.Join("docs", "*.md")}
 
 func run(pass *analysis.Pass) (any, error) {
 	if pass.Pkg.Path() != anchorPkg || len(pass.Files) == 0 {
@@ -129,17 +133,12 @@ func Check(fset *token.FileSet, root string) []analysis.Diagnostic {
 	return c.diags
 }
 
-// markdownPages lists the citation-bearing pages: root *.md and docs/*.md,
-// minus the narrative files.
+// markdownPages lists the citation-bearing pages present under root.
 func markdownPages(root string) []string {
 	var pages []string
-	for _, pattern := range []string{"*.md", filepath.Join("docs", "*.md")} {
+	for _, pattern := range citingPages {
 		found, _ := filepath.Glob(filepath.Join(root, pattern))
-		for _, p := range found {
-			if !skipMarkdown[filepath.Base(p)] {
-				pages = append(pages, p)
-			}
-		}
+		pages = append(pages, found...)
 	}
 	sort.Strings(pages)
 	return pages
