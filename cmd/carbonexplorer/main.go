@@ -364,7 +364,7 @@ func optimizeFlags(fs *flag.FlagSet) (siteID, strategyName *string, timeout *tim
 	workers = fs.Int("workers", 0, "coordinate a work-stealing sweep with N workers instead of the single-process engine (0 = single-process)")
 	coordinate = fs.String("coordinate", "", "multi-process coordination: a lease directory shared by all workers, or a coordinator URL (http://host:8080, see the 'coordinate' subcommand); killed workers' leases are stolen and resumed either way")
 	leases = fs.Int("leases", 0, "leases the coordinated space is split into (0 = 8 per worker); more leases = finer stealing granularity")
-	heartbeat = fs.Duration("heartbeat", 0, "how often a coordinated worker refreshes its claimed lease's liveness (0 = 1s default)")
+	heartbeat = fs.Duration("heartbeat", 0, "how often a coordinated worker refreshes its claimed lease's liveness and, when idle, re-checks leases other processes hold (0 = 1s default)")
 	leaseTTL = fs.Duration("lease-ttl", 0, "how stale a lease's heartbeat must be before another worker steals it (0 = 10× heartbeat); must be at least 3× the heartbeat")
 	adapt.mode = fs.String("mode", "", "sweep mode: exhaustive (default) evaluates every design; adaptive starts from a coarse lattice and subdivides only cells that can still reach the Pareto frontier")
 	adapt.tolerance = fs.Float64("tolerance", 0, "adaptive convergence tolerance as a fraction of the frontier extent (0 = 0.01 default); requires -mode adaptive")
@@ -582,6 +582,28 @@ func cmdOptimize(ctx context.Context, args []string) error {
 	return nil
 }
 
+// Timeouts of the coordinate and serve HTTP servers. Only the request
+// header and the idle keep-alive are bounded, so a client that stalls or
+// never finishes its request line cannot hold a connection open. Whole-request
+// read and response write deadlines stay unset: checkpoint uploads and
+// `GET /v1/checkpoint` bodies grow with the sweep, and a fixed deadline would
+// cut a large sweep's transfers off.
+const (
+	serverReadHeaderTimeout = 10 * time.Second
+	serverIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the server the coordinate and serve subcommands
+// listen with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serverReadHeaderTimeout,
+		IdleTimeout:       serverIdleTimeout,
+	}
+}
+
 // cmdCoordinate serves the lease coordinator over HTTP. Workers on any
 // machine join with `optimize -coordinate http://host:port`; all state
 // persists in the -state directory, so killing and restarting the
@@ -617,7 +639,7 @@ func cmdCoordinate(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Addr: *listen, Handler: svc.Handler()}
+	srv := newHTTPServer(*listen, svc.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("coordinator listening on %s (state %s, lease TTL %v)\n", *listen, *state, *ttl)
@@ -747,7 +769,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		fmt.Printf("serving %s: site %s, strategy %s, %d frontier designs (%s)\n",
 			s.SpaceHash, s.Site, s.Strategy, len(s.Frontier()), status)
 	}
-	srv := &http.Server{Addr: *listen, Handler: serve.Handler(ix)}
+	srv := newHTTPServer(*listen, serve.Handler(ix))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Printf("query API listening on %s (%d sweeps); endpoints are documented in docs/SERVING.md\n",

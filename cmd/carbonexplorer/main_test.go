@@ -3,6 +3,9 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -375,5 +378,49 @@ func TestOptimizeAdaptiveCoordinated(t *testing.T) {
 		"-tolerance", "0.05", "-max-rounds", "2", "-coarse", "3",
 		"-workers", "2", "-coordinate", filepath.Join(dir, "leases")); err != nil {
 		t.Fatalf("coordinated adaptive optimize failed: %v", err)
+	}
+}
+
+// TestHTTPServerClosesStalledRequest: the server the coordinate and serve
+// subcommands listen with closes a connection whose request line stalls
+// halfway once the header timeout passes, and sets no whole-request read or
+// response write deadline that would cut off a large sweep's checkpoint
+// transfers.
+func TestHTTPServerClosesStalledRequest(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("header timeout %v, idle timeout %v: both must be set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("read timeout %v, write timeout %v: both must stay unset", srv.ReadTimeout, srv.WriteTimeout)
+	}
+	srv.ReadHeaderTimeout = 50 * time.Millisecond
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/heal"); err != nil {
+		t.Fatalf("writing half a request line: %v", err)
+	}
+	// The server hangs up: the read ends at EOF long before the client's own
+	// deadline, which would surface as a timeout error instead.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatalf("setting read deadline: %v", err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server kept a stalled half-sent request open: %v", err)
 	}
 }

@@ -68,8 +68,13 @@ type Options struct {
 	// lease (see sweep.Options.Retries: 0 means one retry,
 	// sweep.NoRetries disables).
 	Retries int
-	// Heartbeat is how often a worker refreshes its claimed lease's
-	// liveness timestamp in LeaseDir mode (default 1s).
+	// Heartbeat paces both multi-process transports (default 1s): how often
+	// a worker refreshes its claimed lease's liveness — a lease-file write
+	// in LeaseDir mode, a heartbeat request carrying changed checkpoint
+	// bytes in Endpoint mode — and how often an idle worker re-claims while
+	// every remaining lease runs elsewhere. A lease completed by a worker of
+	// the same Run wakes its idle siblings at once; only leases held by
+	// other processes are re-checked at this pace.
 	Heartbeat time.Duration
 	// Expiry is how stale a running lease's heartbeat must be before
 	// another worker may steal it (default 10×Heartbeat). Shorter expiry
@@ -313,12 +318,13 @@ func runLeaseDir(ctx context.Context, in *explorer.Inputs, opts Options, job *sw
 	progress := make([]sweep.WorkerProgress, opts.Workers)
 	maxResident := make([]int, opts.Workers)
 	workerErrs := make([]error, opts.Workers)
+	completed := newCompletions()
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerErrs[w] = runWorker(ctx, fileSource{b: b}, in, opts, job, plans, w, &progress[w], &maxResident[w])
+			workerErrs[w] = runWorker(ctx, fileSource{b: b}, completed, in, opts, job, plans, w, &progress[w], &maxResident[w])
 		}(w)
 	}
 	wg.Wait()
@@ -389,9 +395,36 @@ func runLeaseDir(ctx context.Context, in *explorer.Inputs, opts Options, job *sw
 	return res, nil
 }
 
+// completions is the completion broadcast shared by the workers of one
+// coordinated job: each lease a worker completes closes the current channel
+// and installs a fresh one, waking every sibling idling on it. It reaches
+// only the workers of this process; leases other processes hold are still
+// re-checked once per Poll.
+type completions struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+func newCompletions() *completions { return &completions{ch: make(chan struct{})} }
+
+// next returns the channel the next completion closes.
+func (c *completions) next() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ch
+}
+
+// broadcast wakes every worker waiting on the current channel.
+func (c *completions) broadcast() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	close(c.ch)
+	c.ch = make(chan struct{})
+}
+
 // runWorker is one worker's claim-evaluate-complete loop, written once for
 // every transport behind the leaseSource seam.
-func runWorker(ctx context.Context, src leaseSource, in *explorer.Inputs, opts Options, job *sweep.Job, plans []sweep.ShardPlan, w int, progress *sweep.WorkerProgress, maxResident *int) error {
+func runWorker(ctx context.Context, src leaseSource, completed *completions, in *explorer.Inputs, opts Options, job *sweep.Job, plans []sweep.ShardPlan, w int, progress *sweep.WorkerProgress, maxResident *int) error {
 	label := workerLabel(opts, w)
 	progress.Worker = label
 	win := workerInputs(in, opts, w)
@@ -399,6 +432,9 @@ func runWorker(ctx context.Context, src leaseSource, in *explorer.Inputs, opts O
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		// Taken before the claim, so a sibling's completion landing between
+		// the claim and the wait below still wakes this worker.
+		woken := completed.next()
 		a, done, err := src.Claim(ctx, label)
 		if err != nil {
 			return err
@@ -407,16 +443,19 @@ func runWorker(ctx context.Context, src leaseSource, in *explorer.Inputs, opts O
 			if done {
 				return nil
 			}
-			// Every remaining lease is healthily running elsewhere. Poll:
-			// its done marker — or its heartbeat expiring — is what frees
-			// this worker. An explicit timer, not time.After: when ctx wins
-			// the select, After's timer would survive until it fires — one
-			// leaked timer per poll round for as long as shutdown takes.
+			// Every remaining lease is healthily running elsewhere. Wait:
+			// a sibling's completion, or — for leases other processes hold —
+			// the next poll is what frees this worker. An explicit timer,
+			// not time.After: when ctx or a completion wins the select,
+			// After's timer would survive until it fires — one leaked timer
+			// per poll round for as long as the sweep takes.
 			t := time.NewTimer(src.Poll())
 			select {
 			case <-ctx.Done():
 				t.Stop()
 				return ctx.Err()
+			case <-woken:
+				t.Stop()
 			case <-t.C:
 			}
 			continue
@@ -446,6 +485,7 @@ func runWorker(ctx context.Context, src leaseSource, in *explorer.Inputs, opts O
 		if err := src.Complete(ctx, a, label); err != nil {
 			return err
 		}
+		completed.broadcast()
 		progress.Leases++
 		if a.stolen {
 			progress.Stolen++

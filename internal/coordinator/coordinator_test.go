@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,5 +252,79 @@ func TestCoordinatorCancellation(t *testing.T) {
 	}
 	if got.Report.Restored == 0 {
 		t.Fatal("re-invoked run restored nothing — it re-evaluated the first run's work")
+	}
+}
+
+// TestCoordinatedSweepEndsWithoutPollTail: a worker whose claim finds every
+// remaining lease running on a sibling of the same Run is woken by that
+// sibling's completion, not by its next poll. The heartbeat, and with it
+// the poll, is a minute against a 20 s deadline, so a worker that sleeps
+// out one poll fails the run — over both multi-process transports.
+func TestCoordinatedSweepEndsWithoutPollTail(t *testing.T) {
+	in := testInputs(t)
+	space := testSpace(in)
+	want := singleProcess(t, in, space)
+	const beat = time.Minute
+
+	cases := []struct {
+		name      string
+		transport func(t *testing.T) Options
+	}{
+		{"file", func(t *testing.T) Options { return Options{LeaseDir: t.TempDir()} }},
+		{"network", func(t *testing.T) Options {
+			return Options{Endpoint: startCoordinator(t, t.TempDir(), HeartbeatSafetyFactor*beat)}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			// Worker 0 must finish its lease while worker 1 still evaluates
+			// the other, so that its next claim takes the idle branch: its
+			// hook holds it until worker 1 has started, and worker 1 is slow.
+			started := make(chan struct{})
+			var once sync.Once
+			opts := tc.transport(t)
+			opts.Workers, opts.Leases, opts.BatchSize = 2, 2, 1
+			opts.Heartbeat, opts.Worker = beat, "tail"
+			opts.InputsFor = func(w int) *explorer.Inputs {
+				hooked := *in
+				if w == 0 {
+					hooked.EvalHook = func(explorer.Design) error {
+						select {
+						case <-started:
+						case <-ctx.Done():
+						}
+						return nil
+					}
+				} else {
+					hooked.EvalHook = func(explorer.Design) error {
+						once.Do(func() { close(started) })
+						time.Sleep(5 * time.Millisecond)
+						return nil
+					}
+				}
+				return &hooked
+			}
+
+			got, err := Run(ctx, in, space, explorer.RenewablesBatteryCAS, opts)
+			if err != nil {
+				t.Fatalf("coordinated run: %v", err)
+			}
+			// A finished sweep restores cleanly even under an expired ctx, so
+			// the deadline itself is what shows a worker slept out its poll.
+			if ctx.Err() != nil {
+				t.Fatalf("coordinated run ended only after its deadline: an idle worker slept out its %v poll", beat)
+			}
+			requireSameResult(t, want, got)
+			if len(got.Workers) != 2 {
+				t.Fatalf("got %d worker progress entries, want 2", len(got.Workers))
+			}
+			for _, wp := range got.Workers {
+				if wp.Leases != 1 {
+					t.Fatalf("worker %s completed %d leases, want 1 each: %+v", wp.Worker, wp.Leases, got.Workers)
+				}
+			}
+		})
 	}
 }

@@ -45,7 +45,8 @@ type leaseSource interface {
 	// holds a final status for every design in the slice.
 	Complete(ctx context.Context, a *assignment, owner string) error
 	// Poll is how long a worker waits between claim attempts while every
-	// remaining lease runs elsewhere.
+	// remaining lease runs elsewhere — Options.Heartbeat — unless a sibling
+	// worker of the same job completes a lease first.
 	Poll() time.Duration
 }
 
@@ -244,12 +245,13 @@ func runNetwork(ctx context.Context, in *explorer.Inputs, opts Options, job *swe
 	progress := make([]sweep.WorkerProgress, opts.Workers)
 	maxResident := make([]int, opts.Workers)
 	workerErrs := make([]error, opts.Workers)
+	completed := newCompletions()
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerErrs[w] = runWorker(ctx, src, in, opts, job, plans, w, &progress[w], &maxResident[w])
+			workerErrs[w] = runWorker(ctx, src, completed, in, opts, job, plans, w, &progress[w], &maxResident[w])
 		}(w)
 	}
 	wg.Wait()
