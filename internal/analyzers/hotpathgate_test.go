@@ -36,7 +36,7 @@ func TestHotpathMarkersNameZeroAllocGatedSymbols(t *testing.T) {
 	// scheduler's scratch simulation and the timeseries kernels; Optimum's
 	// through the frontier comparison and binary-search helpers.
 	hotpath := map[string][]string{
-		"internal/explorer":   {"CellModel.Bounds", "Evaluator.Evaluate", "Evaluator.ensureSupply", "Reachable", "sumFloats"},
+		"internal/explorer":   {"CellModel.Bounds", "Evaluator.Evaluate", "Evaluator.ensureSupply", "Reachable"},
 		"internal/scheduler":  {"Scratch.pullDeferred", "SimulateScratch"},
 		"internal/serve":      {"Snapshot.FrontierBounds", "Snapshot.Optimum", "betterPoint", "countGEDesc", "countLE", "countLT"},
 		"internal/timeseries": {"Series.ScaleAddInto", "Zero"},

@@ -29,9 +29,11 @@ import (
 type Evaluator struct {
 	// DiscardSoCTrace skips copying the hourly battery state-of-charge trace
 	// into outcomes, leaving Outcome.BatterySoC zero. The sweep's fold drops
-	// the trace anyway (checkpoints would balloon otherwise); discarding it
-	// at the source makes the steady-state path allocation-free. Leave false
-	// when outcomes feed Figure 16-style SoC analysis.
+	// the trace anyway (checkpoints would balloon otherwise), and
+	// SearchContext's pool needs only the optimum's, which it rebuilds on
+	// one evaluator with the flag off once the pool has drained; discarding
+	// it at the source makes the steady-state path allocation-free. Leave
+	// false when every outcome feeds Figure 16-style SoC analysis.
 	DiscardSoCTrace bool
 
 	in *Inputs
@@ -188,7 +190,7 @@ func (e *Evaluator) Evaluate(d Design) (Outcome, error) {
 	}
 	out.Operational = operational
 	out.GridEnergyMWh = gridSum
-	out.SurplusMWh = sumFloats(res.Surplus)
+	out.SurplusMWh = res.SurplusMWh
 	out.CoveragePct = CoverageFromGridDraw(out.GridEnergyMWh, in.demandTotalMWh)
 
 	// Embodied: renewables are charged for everything the farms generate —
@@ -239,15 +241,4 @@ func (e *Evaluator) EvaluateSafe(d Design) (o Outcome, err error) {
 		}
 	}
 	return e.Evaluate(d)
-}
-
-// sumFloats accumulates in index order (bit-reproducibility).
-//
-//carbonlint:hotpath
-func sumFloats(v []float64) float64 {
-	t := 0.0
-	for _, x := range v {
-		t += x
-	}
-	return t
 }

@@ -9,6 +9,7 @@ package explorer_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -73,6 +74,43 @@ func TestEvaluatorGoldenEquivalence(t *testing.T) {
 			}
 			if !outcomesEqual(want, got) {
 				t.Fatalf("%v design %d (%+v):\nreference: %+v\noptimized: %+v", strat, i, d, want, got)
+			}
+		}
+	}
+}
+
+// TestEvaluatorGoldenPaperScale repeats the golden comparison on full
+// 8,760-hour paper sites, where the deferral ledger, the horizon clamp and
+// the battery run a whole year: seeded designs inside DefaultSpace's bounds,
+// all four strategies, every battery chemistry at 80% DoD, through one reused
+// Evaluator per site. The chemistries share each drawn design, so supply
+// memo hits are compared too.
+func TestEvaluatorGoldenPaperScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(8760))
+	for _, id := range []string{"OR", "UT", "NC", "NE"} {
+		in, err := explorer.NewInputs(grid.MustSite(id))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		space := explorer.DefaultSpace(in)
+		ev := in.NewEvaluator()
+		for _, strat := range explorer.AllStrategies() {
+			for k := 0; k < 3; k++ {
+				drawn := seededDesign(rng, space, in.AvgDemandMW(), strat)
+				for _, tech := range battery.AllTechnologies() {
+					d := drawn
+					if d.BatteryMWh > 0 {
+						d.DoD, d.BatteryTech = 0.8, tech
+					}
+					want, wantErr := in.Evaluate(d)
+					got, gotErr := ev.Evaluate(d)
+					if wantErr != nil || gotErr != nil {
+						t.Fatalf("%s %v %+v: errors ref=%v opt=%v", id, strat, d, wantErr, gotErr)
+					}
+					if !outcomesEqual(want, got) {
+						t.Fatalf("%s %v %+v:\nreference: %+v\noptimized: %+v", id, strat, d, want, got)
+					}
+				}
 			}
 		}
 	}

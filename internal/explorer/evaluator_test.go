@@ -32,33 +32,35 @@ func evaluatorInputs(tb testing.TB) *Inputs {
 // TestEvaluateSteadyStateZeroAllocs pins the tentpole guarantee: once an
 // evaluator has warmed its buffers, evaluating further designs allocates
 // nothing — including the heaviest design shape (battery + carbon-aware
-// scheduling + both renewables). CI's bench-sweep job runs exactly this
-// test as its zero-alloc gate.
+// scheduling + both renewables) — on the 240-hour toy site and on a full
+// 8,760-hour paper site. CI's bench-sweep job runs exactly this test as its
+// zero-alloc gate.
 func TestEvaluateSteadyStateZeroAllocs(t *testing.T) {
-	in := evaluatorInputs(t)
-	avg := in.AvgDemandMW()
-	designs := []Design{
-		// Renewables only (fast-path scheduler).
-		{WindMW: 2 * avg, SolarMW: avg},
-		// Battery + CAS: every branch of the general scheduler loop.
-		{WindMW: 3 * avg, SolarMW: 2 * avg, BatteryMWh: 4 * avg, DoD: 0.8,
-			FlexibleRatio: 0.4, ExtraCapacityFrac: 0.25},
-		// Battery only, alternate chemistry.
-		{WindMW: avg, SolarMW: 0, BatteryMWh: avg, DoD: 1.0, BatteryTech: battery.NMCCell},
-	}
-	for i, d := range designs {
-		ev := in.NewEvaluator()
-		ev.DiscardSoCTrace = true
-		if _, err := ev.Evaluate(d); err != nil { // warm buffers + memo
-			t.Fatalf("design %d warmup: %v", i, err)
+	for _, in := range []*Inputs{evaluatorInputs(t), siteInputs(t, "UT")} {
+		avg := in.AvgDemandMW()
+		designs := []Design{
+			// Renewables only (fast-path scheduler).
+			{WindMW: 2 * avg, SolarMW: avg},
+			// Battery + CAS: every branch of the general scheduler loop.
+			{WindMW: 3 * avg, SolarMW: 2 * avg, BatteryMWh: 4 * avg, DoD: 0.8,
+				FlexibleRatio: 0.4, ExtraCapacityFrac: 0.25},
+			// Battery only, alternate chemistry.
+			{WindMW: avg, SolarMW: 0, BatteryMWh: avg, DoD: 1.0, BatteryTech: battery.NMCCell},
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := ev.Evaluate(d); err != nil {
-				t.Fatalf("design %d: %v", i, err)
+		for i, d := range designs {
+			ev := in.NewEvaluator()
+			ev.DiscardSoCTrace = true
+			if _, err := ev.Evaluate(d); err != nil { // warm buffers + memo
+				t.Fatalf("%d h, design %d warmup: %v", in.Demand.Len(), i, err)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("design %d: steady-state Evaluate allocated %.1f allocs/op, want 0", i, allocs)
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := ev.Evaluate(d); err != nil {
+					t.Fatalf("%d h, design %d: %v", in.Demand.Len(), i, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%d h, design %d: steady-state Evaluate allocated %.1f allocs/op, want 0", in.Demand.Len(), i, allocs)
+			}
 		}
 	}
 }
@@ -156,13 +158,35 @@ func TestEvaluatorOverflowGuardFallsBack(t *testing.T) {
 }
 
 // BenchmarkEvaluate measures the per-design cost of the optimized hot path
-// in isolation (no sweep machinery), reporting designs/sec. The bench-sweep
-// CI job records this alongside BenchmarkSweepDensity in BENCH_sweep.json.
+// in isolation (no sweep machinery), reporting designs/sec: the heaviest
+// design shape on the 240-hour toy site, and each of the four strategy
+// shapes on UT's 8,760-hour year, where the paper's figures spend their
+// time. The bench-sweep CI job records it alongside BenchmarkSweepDensity in
+// BENCH_sweep.json.
 func BenchmarkEvaluate(b *testing.B) {
-	in := evaluatorInputs(b)
-	avg := in.AvgDemandMW()
-	d := Design{WindMW: 3 * avg, SolarMW: 2 * avg, BatteryMWh: 4 * avg, DoD: 0.8,
+	toy := evaluatorInputs(b)
+	toyAvg := toy.AvgDemandMW()
+	heaviest := Design{WindMW: 3 * toyAvg, SolarMW: 2 * toyAvg, BatteryMWh: 4 * toyAvg, DoD: 0.8,
 		FlexibleRatio: 0.4, ExtraCapacityFrac: 0.25}
+	b.Run("toy-240h/all", func(b *testing.B) { benchmarkEvaluate(b, toy, heaviest) })
+	ut := siteInputs(b, "UT")
+	avg := ut.AvgDemandMW()
+	renewables := Design{WindMW: 4 * avg, SolarMW: 4 * avg}
+	withBattery := renewables
+	withBattery.BatteryMWh, withBattery.DoD = 8*avg, 1.0
+	withCAS := renewables
+	withCAS.FlexibleRatio, withCAS.ExtraCapacityFrac = 0.4, 0.25
+	all := withBattery
+	all.FlexibleRatio, all.ExtraCapacityFrac = 0.4, 0.25
+	for _, c := range []struct {
+		shape string
+		d     Design
+	}{{"renewables", renewables}, {"battery", withBattery}, {"cas", withCAS}, {"all", all}} {
+		b.Run("UT-8760h/"+c.shape, func(b *testing.B) { benchmarkEvaluate(b, ut, c.d) })
+	}
+}
+
+func benchmarkEvaluate(b *testing.B, in *Inputs, d Design) {
 	ev := in.NewEvaluator()
 	ev.DiscardSoCTrace = true
 	if _, err := ev.Evaluate(d); err != nil {

@@ -2,6 +2,7 @@ package explorer
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -18,8 +19,8 @@ var (
 	inputsCache = map[string]*Inputs{}
 )
 
-func siteInputs(t *testing.T, id string) *Inputs {
-	t.Helper()
+func siteInputs(tb testing.TB, id string) *Inputs {
+	tb.Helper()
 	inputsMu.Lock()
 	defer inputsMu.Unlock()
 	if in, ok := inputsCache[id]; ok {
@@ -27,7 +28,7 @@ func siteInputs(t *testing.T, id string) *Inputs {
 	}
 	in, err := NewInputs(grid.MustSite(id))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	inputsCache[id] = in
 	return in
@@ -277,6 +278,61 @@ func TestSearchFindsOptimum(t *testing.T) {
 		if p.Total() < res.Optimal.Total() {
 			t.Fatalf("optimal %v not minimal: found %v", res.Optimal.Total(), p.Total())
 		}
+	}
+}
+
+// TestSearchKeepsOnlyTheOptimumTrace pins how SearchContext's pool handles
+// SoC traces: no point carries one, the optimum carries exactly the trace
+// (and every other bit) the reference path gives it, and rebuilding it does
+// not run EvalHook a second time for any design.
+func TestSearchKeepsOnlyTheOptimumTrace(t *testing.T) {
+	in := *siteInputs(t, "UT") // a copy: the hook must not leak into the cache
+	avg := in.AvgDemandMW()
+	space := Space{
+		WindMW:       []float64{0, 2 * avg, 6 * avg},
+		SolarMW:      []float64{0, 2 * avg, 6 * avg},
+		BatteryHours: []float64{0, 4, 8},
+		DoD:          1.0,
+	}
+	var mu sync.Mutex
+	calls := map[Design]int{}
+	in.EvalHook = func(d Design) error {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[d]++
+		return nil
+	}
+	res, err := in.Search(space, RenewablesBattery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	designs := space.Enumerate(RenewablesBattery, avg)
+	if len(calls) != len(designs) {
+		t.Fatalf("EvalHook saw %d distinct designs, want %d", len(calls), len(designs))
+	}
+	for _, d := range designs {
+		if calls[d] != 1 {
+			t.Fatalf("EvalHook ran %d times for %+v, want 1", calls[d], d)
+		}
+	}
+	for _, p := range res.Points {
+		if p.BatterySoC.Len() != 0 {
+			t.Fatalf("point %+v kept a %d-hour SoC trace", p.Design, p.BatterySoC.Len())
+		}
+	}
+	if res.Optimal.Design.BatteryMWh == 0 {
+		t.Fatal("optimum has no battery, so its trace goes unchecked: widen the battery axis")
+	}
+	in.EvalHook = nil
+	want, err := in.Evaluate(res.Optimal.Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Optimal, want) {
+		t.Fatalf("optimum differs from the reference evaluation of its design:\nsearch:    %+v\nreference: %+v", res.Optimal, want)
+	}
+	if want.BatterySoC.Len() != in.Demand.Len() {
+		t.Fatalf("reference SoC trace has %d hours, want %d", want.BatterySoC.Len(), in.Demand.Len())
 	}
 }
 

@@ -122,10 +122,14 @@ func dedupeDesigns(in []Design) []Design {
 type SearchResult struct {
 	// Strategy echoes the searched strategy.
 	Strategy Strategy
-	// Points are all evaluated outcomes, in no particular order.
+	// Points are all evaluated outcomes, in no particular order. Their
+	// BatterySoC traces are empty: the pool discards them, since only the
+	// optimum's is read.
 	Points []Outcome
 	// Optimal is the outcome with minimum total (operational + embodied)
-	// carbon; ties break toward higher coverage.
+	// carbon; ties break toward higher coverage. It alone carries its
+	// BatterySoC trace (for a battery design), bit for bit the one
+	// Inputs.Evaluate(Optimal.Design) returns.
 	Optimal Outcome
 	// Report accounts for every design that was evaluated, failed, or was
 	// skipped by cancellation. A sweep with failures still yields an Optimal
@@ -213,13 +217,17 @@ func (in *Inputs) SearchContext(ctx context.Context, space Space, strategy Strat
 	}
 	// A fixed pool with one Evaluator per worker: designs flow through the
 	// index channel in enumeration order, so each worker sees mostly-adjacent
-	// designs and the evaluator's supply memoization stays warm.
+	// designs and the evaluator's supply memoization stays warm. The pool
+	// copies no SoC trace; the optimum's is rebuilt after it drains.
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	evs := make([]*Evaluator, workers)
+	for w := range evs {
+		ev := in.NewEvaluator()
+		ev.DiscardSoCTrace = true
+		evs[w] = ev
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ev := in.NewEvaluator()
 			for i := range next {
 				if ctx.Err() != nil {
 					skipped[i] = true
@@ -271,6 +279,19 @@ func (in *Inputs) SearchContext(ctx context.Context, space Space, strategy Strat
 		if better(p, res.Optimal) {
 			res.Optimal = p
 		}
+	}
+	if res.Optimal.Design.BatteryMWh > 0 {
+		// Rebuild the optimum's SoC trace on a drained pool evaluator.
+		// Evaluation is deterministic, so every other field comes back with
+		// the same bits. It bypasses EvalHook, which has seen this design
+		// once already.
+		ev := evs[0]
+		ev.DiscardSoCTrace = false
+		opt, err := ev.Evaluate(res.Optimal.Design)
+		if err != nil {
+			return res, fmt.Errorf("explorer: re-evaluating the optimum for its SoC trace: %w", err)
+		}
+		res.Optimal = opt
 	}
 	return res, ctx.Err()
 }

@@ -17,6 +17,12 @@ type Scratch struct {
 	// value, and pending counts those entries.
 	deferred []float64
 	pending  int
+	// head is a lower bound on the earliest live deadline: every ledger
+	// slot below it is zero, so pullDeferred starts its scan there rather
+	// than at the current hour. Deadlines arrive in non-decreasing order,
+	// so only a deferral clamped to the final hour after a pull drained that
+	// slot can land below it; the deferral then lowers it.
+	head int
 	// socDirty and deferredDirty record that a previous run may have left
 	// nonzero samples in soc / deferred. The simulation loops write every
 	// sample of balanced, gridDraw, and surplus, but soc is only written
@@ -66,6 +72,10 @@ type RawResult struct {
 	Surplus           []float64
 	ForcedDeadlineMWh float64
 	PeakLoadMW        float64
+	// SurplusMWh is Σ Surplus, summed in hour order from zero while the
+	// simulation writes each hour (the same adds, in the same order, as a
+	// separate pass over Surplus), so callers need not re-read the trace.
+	SurplusMWh float64
 }
 
 // SimulateScratch is Simulate without per-call allocation: the same policy,
@@ -93,6 +103,7 @@ func SimulateScratch(cfg SimConfig, s *Scratch) (RawResult, error) {
 		window = 24
 	}
 	s.grow(n)
+	s.head = 0
 	if cfg.Battery != nil {
 		s.socDirty = true
 	}
@@ -115,26 +126,30 @@ func SimulateScratch(cfg SimConfig, s *Scratch) (RawResult, error) {
 	// never fire, so each hour reduces to a pure supply/demand split —
 	// bit-identical to the general loop below with forced=0 throughout.
 	if cfg.Battery == nil && cfg.FlexibleRatio == 0 {
-		peak := 0.0
+		peak, surplusSum := 0.0, 0.0
 		for h := 0; h < n; h++ {
 			load := demand[h]
 			supply := renewable[h]
+			surplus, draw := 0.0, 0.0
 			if supply >= load {
-				s.surplus[h] = supply - load
-				s.gridDraw[h] = 0
+				surplus = supply - load
 			} else {
-				s.gridDraw[h] = load - supply
-				s.surplus[h] = 0
+				draw = load - supply
 			}
+			s.surplus[h] = surplus
+			s.gridDraw[h] = draw
+			surplusSum += surplus
 			s.balanced[h] = load
 			if load > peak {
 				peak = load
 			}
 		}
 		res.PeakLoadMW = peak
+		res.SurplusMWh = surplusSum
 		return res, nil
 	}
 
+	surplusSum := 0.0
 	for h := 0; h < n; h++ {
 		load := demand[h]
 
@@ -205,6 +220,9 @@ func SimulateScratch(cfg SimConfig, s *Scratch) (RawResult, error) {
 						s.pending++
 					}
 					s.deferred[deadline] += deferrable
+					if deadline < s.head {
+						s.head = deadline
+					}
 					load -= deferrable
 					deficit -= deferrable
 				}
@@ -220,6 +238,7 @@ func SimulateScratch(cfg SimConfig, s *Scratch) (RawResult, error) {
 			s.surplus[h] = 0
 		}
 
+		surplusSum += s.surplus[h]
 		s.balanced[h] = load
 		if cfg.Battery != nil {
 			s.soc[h] = cfg.Battery.SoC()
@@ -228,6 +247,7 @@ func SimulateScratch(cfg SimConfig, s *Scratch) (RawResult, error) {
 			res.PeakLoadMW = load
 		}
 	}
+	res.SurplusMWh = surplusSum
 	// The ledger is provably drained here: every entry's deadline is below
 	// n, and the forced-read at that hour zeroed it. (A panic mid-loop
 	// leaves the flag set, so the next grow re-zeroes conservatively.)
@@ -237,27 +257,30 @@ func SimulateScratch(cfg SimConfig, s *Scratch) (RawResult, error) {
 
 // pullDeferred removes up to amount MWh from the deferred ledger over
 // deadlines [from, to], earliest first, and returns how much was pulled.
+// from is the current hour, whose slot and every earlier one the forced
+// reads have already cleared, so the scan may start at s.head when that lies
+// further on: the live entries it visits, and their order, are the same.
 //
 //carbonlint:hotpath
 func (s *Scratch) pullDeferred(from, to int, amount float64) float64 {
 	pulled := 0.0
-	for d := from; d <= to && amount > 0; d++ {
+	d := max(from, s.head)
+	for ; d <= to && amount > 0; d++ {
 		e := s.deferred[d]
 		if e == 0 { // zero marks an absent ledger entry; stored values are always positive
 			continue
 		}
-		take := e
-		if take > amount {
-			take = amount
+		if e > amount {
+			// A partial take leaves the entry live and exhausts amount.
+			s.deferred[d] = e - amount
+			s.head = d
+			return pulled + amount
 		}
-		if take == e { //carbonlint:allow floatcmp take is e or the clamped amount, both copied bits; equality means the entry fully drained
-			s.deferred[d] = 0
-			s.pending--
-		} else {
-			s.deferred[d] = e - take
-		}
-		pulled += take
-		amount -= take
+		s.deferred[d] = 0
+		s.pending--
+		pulled += e
+		amount -= e
 	}
+	s.head = d
 	return pulled
 }

@@ -10,7 +10,8 @@ import (
 
 // scratchConfigs is a matrix of simulation shapes chosen to hit every branch:
 // no battery / battery, no flex / flex, capacity cap on/off, forced
-// deadlines, horizon-clamped deadlines, and degenerate short horizons.
+// deadlines, horizon-clamped deadlines (including re-deferral to a clamped
+// slot a pull already drained), and degenerate short horizons.
 func scratchConfigs(tb testing.TB) []SimConfig {
 	tb.Helper()
 	n := 240
@@ -29,6 +30,11 @@ func scratchConfigs(tb testing.TB) []SimConfig {
 		}
 		return 1
 	})
+	// Deficit and surplus hours alternate. From hour 24 every deferral is
+	// clamped to the final hour: each surplus hour drains that slot, and the
+	// next deficit hour defers to it again, below any scan index that only
+	// ever moves forward.
+	seesaw := timeseries.Generate(48, func(h int) float64 { return float64(h%2) * 30 })
 	newBat := func(capacity, dod float64) *battery.Battery {
 		b, err := battery.New(battery.LFP(capacity, dod))
 		if err != nil {
@@ -47,6 +53,7 @@ func scratchConfigs(tb testing.TB) []SimConfig {
 		{Demand: demand, Renewable: solar, FlexibleRatio: 0.4, Battery: newBat(40, 0.8), CapacityMW: 15},
 		{Demand: demand.Slice(0, 24), Renewable: solar.Slice(0, 24), FlexibleRatio: 0.4, DeferralWindowHours: 48},
 		{Demand: demand.Slice(0, 1), Renewable: wind.Slice(0, 1), FlexibleRatio: 0.9},
+		{Demand: demand.Slice(0, 48), Renewable: seesaw, FlexibleRatio: 0.5},
 	}
 }
 
@@ -94,6 +101,9 @@ func TestSimulateScratchMatchesSimulate(t *testing.T) {
 		}
 		if bitsDiffer(want.PeakLoadMW, got.PeakLoadMW) {
 			t.Fatalf("case %d: PeakLoadMW %v != %v", i, want.PeakLoadMW, got.PeakLoadMW)
+		}
+		if bitsDiffer(want.Surplus.Sum(), got.SurplusMWh) {
+			t.Fatalf("case %d: SurplusMWh %v != Σ Surplus %v", i, got.SurplusMWh, want.Surplus.Sum())
 		}
 	}
 }
