@@ -32,9 +32,18 @@ func readFileBytes(t *testing.T, path string) []byte {
 // the converged final checkpoint of an adaptive refinement must be
 // byte-identical whether the rounds ran in a single process, under the
 // in-memory coordinator, across a file-lease fleet, or across a
-// network-lease fleet.
+// network-lease fleet — also on the zero-wind fixture, where most designs
+// are twins and the topologies reuse different ones.
 func TestAdaptiveTopologiesByteIdentical(t *testing.T) {
-	in := testInputs(t)
+	for _, f := range []struct {
+		name   string
+		inputs func(testing.TB) *explorer.Inputs
+	}{{"generating", testInputs}, {"zero-wind", zeroWindInputs}} {
+		t.Run(f.name, func(t *testing.T) { testAdaptiveTopologiesByteIdentical(t, f.inputs(t)) })
+	}
+}
+
+func testAdaptiveTopologiesByteIdentical(t *testing.T, in *explorer.Inputs) {
 	space := testSpace(in)
 	strategy := explorer.RenewablesBatteryCAS
 	dir := t.TempDir()

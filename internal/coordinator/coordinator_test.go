@@ -34,6 +34,19 @@ func testInputs(t testing.TB) *explorer.Inputs {
 	return in
 }
 
+// zeroWindInputs is testInputs with a wind shape that never generates: every
+// wind investment is a twin of the wind-free design (explorer.Inputs.Twins).
+func zeroWindInputs(t testing.TB) *explorer.Inputs {
+	t.Helper()
+	in := testInputs(t)
+	out, err := explorer.NewInputsFromSeries(in.Site, in.Demand, timeseries.Constant(in.Demand.Len(), 0),
+		in.SolarShape, in.GridCI, in.Embodied)
+	if err != nil {
+		t.Fatalf("zeroWindInputs: %v", err)
+	}
+	return out
+}
+
 // testSpace is a 100-design grid — enough designs for many leases.
 func testSpace(in *explorer.Inputs) explorer.Space {
 	avg := in.AvgDemandMW()

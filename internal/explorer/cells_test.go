@@ -1,7 +1,10 @@
 package explorer
 
 import (
+	"math"
 	"testing"
+
+	"carbonexplorer/internal/grid"
 )
 
 func testGrid(t *testing.T) (CellGrid, *Inputs) {
@@ -153,29 +156,71 @@ func TestRoundPointsNormalizesDesigns(t *testing.T) {
 	}
 }
 
+// TestBoundsAreSound: on every site and strategy at 8,760 h, each coarse
+// cell's lower bounds must sit at or below the minimum operational and
+// embodied carbon over the cell's depth-1 lattice points (its corners and
+// the points its subdivision adds).
 func TestBoundsAreSound(t *testing.T) {
-	g, in := testGrid(t)
-	m := NewCellModel(in, g)
-	// Every evaluated corner of every coarse cell must respect the cell's
-	// lower bounds.
-	for _, c := range g.CoarseCells() {
-		opLB, emLB := m.Bounds(c, 0)
-		if opLB < 0 || emLB < 0 {
-			t.Fatalf("negative bound for %v: op %v em %v", c, opLB, emLB)
-		}
-		for _, d := range g.RoundPoints([]Cell{c}, 0) {
-			o, err := in.Evaluate(d)
-			if err != nil {
-				t.Fatal(err)
+	for _, site := range grid.Sites() {
+		t.Run(site.ID, func(t *testing.T) {
+			t.Parallel()
+			in := siteInputs(t, site.ID)
+			ev := in.NewEvaluator()
+			ev.DiscardSoCTrace = true
+			for _, strategy := range AllStrategies() {
+				g, err := NewCellGrid(DefaultSpace(in), strategy, in.AvgDemandMW(), 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := NewCellModel(in, g)
+				memo := map[[NumAxes]int]Outcome{}
+				for _, c := range g.CoarseCells() {
+					opLB, emLB := m.Bounds(c, 0)
+					if opLB < 0 || emLB < 0 {
+						t.Fatalf("%v cell %v: negative bound op %v em %v", strategy, c, opLB, emLB)
+					}
+					minOp, minEm := math.Inf(1), math.Inf(1)
+					for _, key := range depth1Points(g, c) {
+						o, ok := memo[key]
+						if !ok {
+							if o, err = ev.Evaluate(g.designAt(key, 1)); err != nil {
+								t.Fatal(err)
+							}
+							memo[key] = o
+						}
+						minOp = math.Min(minOp, float64(o.Operational))
+						minEm = math.Min(minEm, float64(o.Embodied))
+					}
+					if minOp < opLB {
+						t.Fatalf("%v cell %v: operational minimum %v below bound %v", strategy, c, minOp, opLB)
+					}
+					if minEm < emLB*(1-1e-9) {
+						t.Fatalf("%v cell %v: embodied minimum %v below bound %v", strategy, c, minEm, emLB)
+					}
+				}
 			}
-			if float64(o.Operational) < opLB {
-				t.Fatalf("cell %v: operational %v below bound %v for %+v", c, o.Operational, opLB, d)
-			}
-			if float64(o.Embodied) < emLB*(1-1e-9) {
-				t.Fatalf("cell %v: embodied %v below bound %v for %+v", c, o.Embodied, emLB, d)
-			}
-		}
+		})
 	}
+}
+
+// depth1Points lists the depth-1 lattice indices inside a coarse cell: along
+// each free axis the cell's two corners and the midpoint between them.
+func depth1Points(g CellGrid, c Cell) [][NumAxes]int {
+	keys := [][NumAxes]int{{}}
+	for a := 0; a < NumAxes; a++ {
+		if !g.Free[a] {
+			continue
+		}
+		next := make([][NumAxes]int, 0, 3*len(keys))
+		for _, k := range keys {
+			for off := 0; off <= 2; off++ {
+				k[a] = 2*c.Idx[a] + off
+				next = append(next, k)
+			}
+		}
+		keys = next
+	}
+	return keys
 }
 
 func TestReachable(t *testing.T) {

@@ -32,9 +32,11 @@ type Inputs struct {
 
 	// EvalHook, when non-nil, runs before every design evaluation inside a
 	// search sweep. A non-nil error (or a panic) fails that design alone —
-	// the sweep's panic containment applies. It exists for fault injection
-	// in chaos tests and for canary checks in long-running services; leave
-	// it nil in normal operation.
+	// the sweep's panic containment applies. It does not run for a design
+	// whose twin (see Twins) is already done: that design takes its twin's
+	// outcome without being simulated, though reports still count it as
+	// evaluated. It exists for fault injection in chaos tests and for canary
+	// checks in long-running services; leave it nil in normal operation.
 	EvalHook func(Design) error
 
 	// demandTotalMWh caches Demand.Sum().

@@ -122,7 +122,7 @@ func dedupeDesigns(in []Design) []Design {
 type SearchResult struct {
 	// Strategy echoes the searched strategy.
 	Strategy Strategy
-	// Points are all evaluated outcomes, in no particular order. Their
+	// Points are all evaluated outcomes, in enumeration order. Their
 	// BatterySoC traces are empty: the pool discards them, since only the
 	// optimum's is read.
 	Points []Outcome
@@ -210,46 +210,72 @@ func (in *Inputs) SearchContext(ctx context.Context, space Space, strategy Strat
 	points := make([]Outcome, len(designs))
 	errs := make([]error, len(designs))
 	skipped := make([]bool, len(designs))
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(designs) {
-		workers = len(designs)
-	}
 	// A fixed pool with one Evaluator per worker: designs flow through the
 	// index channel in enumeration order, so each worker sees mostly-adjacent
 	// designs and the evaluator's supply memoization stays warm. The pool
 	// copies no SoC trace; the optimum's is rebuilt after it drains.
-	next := make(chan int)
-	evs := make([]*Evaluator, workers)
+	evs := make([]*Evaluator, min(runtime.GOMAXPROCS(0), len(designs)))
 	for w := range evs {
-		ev := in.NewEvaluator()
-		ev.DiscardSoCTrace = true
-		evs[w] = ev
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					skipped[i] = true
-					continue
+		evs[w] = in.NewEvaluator()
+		evs[w].DiscardSoCTrace = true
+	}
+	run := func(idxs []int) {
+		next := make(chan int)
+		var wg sync.WaitGroup
+		for _, ev := range evs[:min(len(evs), len(idxs))] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range next {
+					if ctx.Err() != nil {
+						skipped[i] = true
+						continue
+					}
+					points[i], errs[i] = ev.EvaluateSafe(designs[i])
 				}
-				points[i], errs[i] = ev.EvaluateSafe(designs[i])
-			}
-		}()
-	}
-	for i := range designs {
-		if ctx.Err() != nil {
-			// Cancelled while dispatching: everything not yet dispatched is
-			// skipped.
-			for j := i; j < len(designs); j++ {
-				skipped[j] = true
-			}
-			break
+			}()
 		}
-		next <- i
+		for k, i := range idxs {
+			if ctx.Err() != nil {
+				// Cancelled while dispatching: everything not yet
+				// dispatched is skipped.
+				for _, j := range idxs[k:] {
+					skipped[j] = true
+				}
+				break
+			}
+			next <- i
+		}
+		close(next)
+		wg.Wait()
 	}
-	close(next)
-	wg.Wait()
+
+	// Only representatives go through the pool; each twin then takes its
+	// representative's outcome under its own Design (see Twins). A twin
+	// of a failed representative is evaluated on its own, since failures
+	// are per design (EvalHook); a twin of a skipped one is skipped too.
+	twins := in.Twins(designs)
+	reps := make([]int, 0, len(designs))
+	for i := range designs {
+		if twins == nil || twins[i] == i {
+			reps = append(reps, i)
+		}
+	}
+	run(reps)
+	var orphans []int
+	for i, r := range twins {
+		switch {
+		case r == i:
+		case skipped[r]:
+			skipped[i] = true
+		case errs[r] != nil:
+			orphans = append(orphans, i)
+		default:
+			points[i] = points[r]
+			points[i].Design = designs[i]
+		}
+	}
+	run(orphans)
 
 	res := SearchResult{Strategy: strategy}
 	var survivors []Outcome

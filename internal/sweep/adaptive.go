@@ -275,6 +275,7 @@ func RunAdaptiveRounds(ctx context.Context, in *explorer.Inputs, space explorer.
 			Strategy: strategy,
 			Designs:  worklist,
 			hash:     adaptiveRoundHash(base, round, cells, worklist),
+			twins:    in.Twins(worklist),
 			meta: &adaptiveMeta{
 				baseHash:     base,
 				round:        round,

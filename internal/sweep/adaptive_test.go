@@ -53,7 +53,29 @@ func denseLatticeSpace(g explorer.CellGrid, space explorer.Space, avg float64, d
 // frontier within the plan's tolerance while evaluating at least 10x fewer
 // designs.
 func TestAdaptiveReachesDenseFrontier(t *testing.T) {
-	in := testInputs(t)
+	got, want := adaptiveAndDense(t, testInputs(t))
+	if want.Report.Evaluated < 10*got.Report.Evaluated {
+		t.Fatalf("adaptive saved too little: %d adaptive vs %d dense evaluations (want >= 10x)",
+			got.Report.Evaluated, want.Report.Evaluated)
+	}
+	requireDenseFrontierReached(t, got, want)
+}
+
+// TestAdaptiveTwinsReachDenseFrontier makes the same comparison on the
+// zero-wind fixture, whose wind axis only holds twins. The refinement
+// reaches the dense frontier there too, but does not save 10x: the cell
+// bounds cannot tell a cell up the dead axis from the wind-free cell it
+// repeats, so every round subdivides that axis like a live one (5,664 of
+// the 6,561 dense designs; see ROADMAP.md). Only the frontier is checked.
+func TestAdaptiveTwinsReachDenseFrontier(t *testing.T) {
+	got, want := adaptiveAndDense(t, zeroWindInputs(t))
+	requireDenseFrontierReached(t, got, want)
+}
+
+// adaptiveAndDense runs the adaptive plan over testSpace and an exhaustive
+// sweep of the dense dyadic lattice at the depth the refinement reached.
+func adaptiveAndDense(t *testing.T, in *explorer.Inputs) (got, want Result) {
+	t.Helper()
 	space := testSpace(in)
 	strategy := explorer.RenewablesBatteryCAS
 	plan := adaptivePlan()
@@ -71,20 +93,24 @@ func TestAdaptiveReachesDenseFrontier(t *testing.T) {
 		t.Fatalf("NewCellGrid: %v", err)
 	}
 	dense := denseLatticeSpace(g, space, in.AvgDemandMW(), got.Adaptive.Round)
-	want, err := Run(context.Background(), in, dense, strategy, Options{})
+	want, err = Run(context.Background(), in, dense, strategy, Options{})
 	if err != nil {
 		t.Fatalf("dense run: %v", err)
 	}
+	t.Logf("adaptive: %d evaluations over %d rounds (%v); dense: %d evaluations (%.1fx saved)",
+		got.Report.Evaluated, got.Adaptive.Round+1, got.Adaptive.RoundEvals,
+		want.Report.Evaluated, float64(want.Report.Evaluated)/float64(got.Report.Evaluated))
+	return got, want
+}
 
-	if want.Report.Evaluated < 10*got.Report.Evaluated {
-		t.Fatalf("adaptive saved too little: %d adaptive vs %d dense evaluations (want >= 10x)",
-			got.Report.Evaluated, want.Report.Evaluated)
-	}
-
-	// Every dense frontier point must be dominated-within-tolerance by some
-	// adaptive frontier point, with the slack measured against the dense
-	// frontier's extent (the same absolute-slack rule pruning uses).
-	opSlack, emSlack := frontierSlack(want.Frontier, plan.Tolerance)
+// requireDenseFrontierReached checks that every dense frontier point is
+// dominated-within-tolerance by some adaptive frontier point, with the slack
+// measured against the dense frontier's extent (the same absolute-slack rule
+// pruning uses), and that the adaptive optimum is within tolerance too.
+func requireDenseFrontierReached(t *testing.T, got, want Result) {
+	t.Helper()
+	tol := adaptivePlan().Tolerance
+	opSlack, emSlack := frontierSlack(want.Frontier, tol)
 	for _, q := range want.Frontier {
 		ok := false
 		for _, p := range got.Frontier {
@@ -96,24 +122,26 @@ func TestAdaptiveReachesDenseFrontier(t *testing.T) {
 		}
 		if !ok {
 			t.Errorf("dense frontier point (op=%.0f em=%.0f) not reached within tolerance %.2f",
-				float64(q.Operational), float64(q.Embodied), plan.Tolerance)
+				float64(q.Operational), float64(q.Embodied), tol)
 		}
 	}
-	if float64(got.Optimal.Total()) > float64(want.Optimal.Total())*(1+plan.Tolerance) {
+	if float64(got.Optimal.Total()) > float64(want.Optimal.Total())*(1+tol) {
 		t.Fatalf("adaptive optimum %.0f worse than dense optimum %.0f beyond tolerance",
 			float64(got.Optimal.Total()), float64(want.Optimal.Total()))
 	}
-	t.Logf("adaptive: %d evaluations over %d rounds (%v); dense: %d evaluations (%.1fx saved)",
-		got.Report.Evaluated, got.Adaptive.Round+1, got.Adaptive.RoundEvals,
-		want.Report.Evaluated, float64(want.Report.Evaluated)/float64(got.Report.Evaluated))
 }
 
 // TestAdaptiveResumeConvergesToUninterrupted kills an adaptive sweep partway
 // through a refinement round and resumes it: the resumed refinement must
 // converge to the exact result — and the exact final checkpoint bytes — of an
-// uninterrupted run.
+// uninterrupted run, on every fixture.
 func TestAdaptiveResumeConvergesToUninterrupted(t *testing.T) {
-	in := testInputs(t)
+	for _, f := range fixtures {
+		t.Run(f.name, func(t *testing.T) { testAdaptiveResumeConvergesToUninterrupted(t, f.inputs(t)) })
+	}
+}
+
+func testAdaptiveResumeConvergesToUninterrupted(t *testing.T, in *explorer.Inputs) {
 	space := testSpace(in)
 	strategy := explorer.RenewablesBatteryCAS
 	dir := t.TempDir()
@@ -128,21 +156,33 @@ func TestAdaptiveResumeConvergesToUninterrupted(t *testing.T) {
 	if !clean.Adaptive.Converged {
 		t.Fatal("uninterrupted adaptive run did not converge")
 	}
-	round0 := clean.Adaptive.RoundEvals[0]
 	if clean.Adaptive.Round == 0 {
 		t.Fatal("refinement converged in the coarse round — nothing mid-refinement to interrupt")
 	}
 
-	// Cancel partway into round 1, after the coarse round completed.
+	// Cancel partway into round 1, after the coarse round completed: on the
+	// tenth evaluation of a design off the coarse lattice. (Counting all
+	// evaluations would not do: designs that reuse a twin never reach the
+	// hook.)
+	g, err := explorer.NewCellGrid(space, strategy, in.AvgDemandMW(), adaptivePlan().CoarsePointsPerDim)
+	if err != nil {
+		t.Fatalf("NewCellGrid: %v", err)
+	}
+	coarse := map[explorer.Design]bool{}
+	for _, d := range g.RoundPoints(g.CoarseCells(), 0) {
+		coarse[d] = true
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex
 	started := 0
-	in.EvalHook = func(explorer.Design) error {
+	in.EvalHook = func(d explorer.Design) error {
 		mu.Lock()
-		started++
-		if started == round0+10 {
-			cancel()
+		if !coarse[d] {
+			started++
+			if started == 10 {
+				cancel()
+			}
 		}
 		mu.Unlock()
 		return nil
@@ -190,9 +230,14 @@ func TestAdaptiveResumeConvergesToUninterrupted(t *testing.T) {
 // TestAdaptiveShardedMergeMatchesSingleProcess drives the sharded adaptive
 // operator loop — run each shard, merge, copy the merged file back, resume —
 // and requires the final converged checkpoint to be byte-identical to the
-// single-process run's.
+// single-process run's, on every fixture.
 func TestAdaptiveShardedMergeMatchesSingleProcess(t *testing.T) {
-	in := testInputs(t)
+	for _, f := range fixtures {
+		t.Run(f.name, func(t *testing.T) { testAdaptiveShardedMergeMatchesSingleProcess(t, f.inputs(t)) })
+	}
+}
+
+func testAdaptiveShardedMergeMatchesSingleProcess(t *testing.T, in *explorer.Inputs) {
 	space := testSpace(in)
 	strategy := explorer.RenewablesBatteryCAS
 	dir := t.TempDir()

@@ -110,7 +110,8 @@ func (o Options) withDefaults() Options {
 // Report accounts for every design of a streaming sweep.
 type Report struct {
 	// Evaluated is the number of designs evaluated successfully, including
-	// designs restored from a checkpoint.
+	// designs restored from a checkpoint and designs that took the outcome
+	// of an already-done twin (explorer.Inputs.Twins) without a simulation.
 	Evaluated int
 	// Restored is how many of Evaluated were restored from the checkpoint
 	// rather than re-evaluated in this run.
@@ -203,6 +204,12 @@ type WorkerProgress struct {
 // the single-process result with MergeCheckpoints. An empty shard slice
 // (more shards than designs) completes immediately with nothing evaluated.
 //
+// Each distinct year is simulated once: the first pass records a design
+// whose twin (explorer.Inputs.Twins) is already done as done, without
+// evaluating or folding it — the twin's fold already holds its outcome. The
+// Inputs' EvalHook therefore does not run for it, while Report.Evaluated
+// still counts it.
+//
 // Failure semantics match explorer.SearchContext: a failing or panicking
 // design is excluded from the optimum (after Options.Retries retry passes)
 // and recorded in the report; only if every design fails does Run return a
@@ -255,6 +262,9 @@ type Job struct {
 
 	hash string
 	meta *adaptiveMeta
+	// twins is Inputs.Twins over Designs: nil when every design simulates
+	// a distinct year.
+	twins []int
 }
 
 // NewJob enumerates the space under the strategy into a runnable work-list.
@@ -268,6 +278,7 @@ func NewJob(in *explorer.Inputs, space explorer.Space, strategy explorer.Strateg
 		Strategy: strategy,
 		Designs:  designs,
 		hash:     sweepHash(in, strategy, designs),
+		twins:    in.Twins(designs),
 	}, nil
 }
 
@@ -298,6 +309,7 @@ func (j *Job) run(ctx context.Context, in *explorer.Inputs, opts Options) (Resul
 		in:       in,
 		strategy: j.Strategy,
 		designs:  j.Designs,
+		twins:    j.twins,
 		opts:     opts,
 		hash:     j.hash,
 		meta:     j.meta,
@@ -328,7 +340,7 @@ func (j *Job) run(ctx context.Context, in *explorer.Inputs, opts Options) (Resul
 		return Result{}, err
 	}
 
-	// First pass: evaluate everything still pending.
+	// First pass: evaluate everything still pending, reusing done twins.
 	ctxErr := r.pass(ctx, r.indicesWithStatus(statusPending), false, false)
 
 	// Retry passes: re-evaluate designs still in the failed-once state
@@ -375,8 +387,11 @@ type runner struct {
 	in       *explorer.Inputs
 	strategy explorer.Strategy
 	designs  []explorer.Design
-	opts     Options
-	hash     string
+	// twins maps each design to its representative (explorer.Inputs.Twins);
+	// nil when there are none.
+	twins []int
+	opts  Options
+	hash  string
 	// meta carries the adaptive round context (round number, cells, prior
 	// accounting, cumulative seeds); nil for exhaustive sweeps.
 	meta *adaptiveMeta
@@ -481,6 +496,9 @@ func (r *runner) pass(ctx context.Context, idxs []int, retry, final bool) error 
 			end = len(idxs)
 		}
 		batch := idxs[start:end]
+		if !retry {
+			batch = r.reuseTwins(batch)
+		}
 		outcomes, errs := r.evalBatch(ctx, batch)
 		if len(batch) > r.maxHeld {
 			r.maxHeld = len(batch)
@@ -620,6 +638,28 @@ func (r *runner) evalBatch(ctx context.Context, batch []int) ([]explorer.Outcome
 	close(next)
 	wg.Wait()
 	return outcomes, errs
+}
+
+// reuseTwins records every design of a first-pass batch whose twin
+// (explorer.Inputs.Twins) is already done as done, without evaluating or
+// folding it, and returns the rest of the batch, compacted in place. The
+// skipped fold would change nothing: the twin precedes the design in fold
+// order, their outcomes differ only in Design, the optimum only moves on a
+// strictly better outcome, and the frontier keeps the first exact duplicate.
+func (r *runner) reuseTwins(batch []int) []int {
+	if r.twins == nil {
+		return batch
+	}
+	rest := batch[:0]
+	for _, i := range batch {
+		if t := r.twins[i]; t != i && r.status[t] == statusDone {
+			r.status[i] = statusDone
+			r.sinceSave++
+			continue
+		}
+		rest = append(rest, i)
+	}
+	return rest
 }
 
 // fold streams one successful outcome into the running optimum and
