@@ -214,8 +214,7 @@ type (
 	// SweepOptions configures a streaming sweep: batch size (peak resident
 	// outcomes), checkpointing (the Checkpoint sub-struct), retry policy
 	// (Retries; SweepNoRetries disables), and the Plan describing what the
-	// sweep covers (mode, shard slice, adaptive knobs). The top-level Shard
-	// field is deprecated in favor of Plan.Shard.
+	// sweep covers (mode, shard slice, adaptive knobs).
 	SweepOptions = sweep.Options
 	// SweepCheckpointOptions is the Checkpoint sub-struct of SweepOptions:
 	// path, save cadence, and resume flag. The zero value disables
@@ -230,8 +229,7 @@ type (
 	// SweepPlan is the single entry point describing what a sweep covers:
 	// the mode (exhaustive or adaptive), the shard slice, and the adaptive
 	// refinement knobs (Tolerance, MaxRounds, CoarsePointsPerDim). The zero
-	// value is a full exhaustive sweep. It subsumes the deprecated
-	// SweepOptions.Shard field; see DESIGN.md for the migration table.
+	// value is a full exhaustive sweep.
 	SweepPlan = sweep.Plan
 	// SweepMode selects between exhaustive and adaptive sweeps in a
 	// SweepPlan.

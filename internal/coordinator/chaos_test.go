@@ -67,7 +67,7 @@ func TestChaosKilledWorkerLeaseStolen(t *testing.T) {
 	}
 	partial, err := sweep.Run(ctx, &ghost, space, explorer.RenewablesBatteryCAS, sweep.Options{
 		BatchSize:  1,
-		Shard:      plans[0].Shard,
+		Plan:       sweep.Plan{Shard: plans[0].Shard},
 		Checkpoint: sweep.CheckpointOptions{Path: b.checkpointPath(0), Every: 1},
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -206,7 +206,7 @@ func TestChaosDuplicateOwnerBenign(t *testing.T) {
 		defer wg.Done()
 		_, err := sweep.Run(context.Background(), in, space, explorer.RenewablesBatteryCAS, sweep.Options{
 			BatchSize:  2,
-			Shard:      plans[0].Shard,
+			Plan:       sweep.Plan{Shard: plans[0].Shard},
 			Checkpoint: sweep.CheckpointOptions{Path: b.checkpointPath(0), Every: 1, Resume: true},
 		})
 		if err != nil {

@@ -237,52 +237,27 @@ func runJob(ctx context.Context, in *explorer.Inputs, opts Options, job *sweep.J
 	return runLeaseDir(ctx, in, opts, job, plans)
 }
 
-// runMemory coordinates a worker pool over a channel of lease indices.
-// Every lease produces a full-space-accounted Result; folding them in
-// lease order through sweep.MergeResults reproduces the single-process
-// fold exactly.
+// runMemory coordinates in-process workers through a memSource. Every
+// lease produces a full-space-accounted Result; folding them in lease order
+// through sweep.MergeResults reproduces the single-process fold exactly.
 func runMemory(ctx context.Context, in *explorer.Inputs, opts Options, job *sweep.Job, plans []sweep.ShardPlan) (sweep.Result, error) {
-	results := make([]sweep.Result, len(plans))
-	errs := make([]error, len(plans))
-	progress := make([]sweep.WorkerProgress, opts.Workers)
-	queue := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			progress[w].Worker = workerLabel(opts, w)
-			win := workerInputs(in, opts, w)
-			for li := range queue {
-				res, err := job.Run(ctx, win, sweep.Options{
-					BatchSize: opts.BatchSize,
-					Retries:   opts.Retries,
-					Plan:      sweep.Plan{Shard: plans[li].Shard},
-				})
-				results[li] = res
-				// A lease whose designs all failed still completed; its
-				// failures surface through the merged report instead.
-				if err != nil && !errors.Is(err, explorer.ErrAllDesignsFailed) {
-					errs[li] = err
-				}
-				progress[w].Leases++
-				progress[w].Evaluated += res.Report.Evaluated - res.Report.Restored
-				progress[w].Failed += len(res.Report.Failures)
-			}
-		}(w)
+	src := &memSource{leases: len(plans)}
+	progress, _, err := runWorkers(ctx, src, in, opts, job, plans)
+	results := make([]sweep.Result, len(src.claimed))
+	for li, a := range src.claimed {
+		results[li] = a.res
 	}
-	for li := range plans {
-		queue <- li
-	}
-	close(queue)
-	wg.Wait()
-
 	merged := sweep.MergeResults(results...)
+	// A run cancelled before its first claim folds no Result at all.
+	merged.Strategy = job.Strategy
 	merged.Workers = progress
-	for _, err := range errs {
-		if err != nil {
-			return merged, err
-		}
+	// Every design lies in some lease, so a design no lease accounted for
+	// belongs to one that cancellation left unclaimed: skipped, not out of
+	// shard.
+	merged.Report.Skipped = len(job.Designs) - merged.Report.Evaluated - len(merged.Report.Failures)
+	merged.Report.OutOfShard = 0
+	if err != nil {
+		return merged, err
 	}
 	if merged.Report.Evaluated == 0 && len(merged.Report.Failures) > 0 {
 		return merged, fmt.Errorf("%w: %d failures, first: %w",
@@ -301,37 +276,15 @@ func runLeaseDir(ctx context.Context, in *explorer.Inputs, opts Options, job *sw
 	// empty board and re-evaluating — the replay path adaptive refinements
 	// take through every completed round after a crash.
 	if ck, err := sweep.ReadCheckpoint(opts.Checkpoint); err == nil && ck.Complete() && ck.SpaceHash == job.SpaceHash() {
-		return job.Run(ctx, in, sweep.Options{
-			BatchSize: opts.BatchSize,
-			Retries:   opts.Retries,
-			Checkpoint: sweep.CheckpointOptions{
-				Path:   opts.Checkpoint,
-				Every:  opts.CheckpointEvery,
-				Resume: true,
-			},
-		})
+		return restoreMerged(ctx, in, opts, job, opts.Checkpoint, nil, 0)
 	}
 	b, err := newBoard(opts.LeaseDir, plans, opts.Heartbeat, opts.Expiry)
 	if err != nil {
 		return sweep.Result{}, err
 	}
-	progress := make([]sweep.WorkerProgress, opts.Workers)
-	maxResident := make([]int, opts.Workers)
-	workerErrs := make([]error, opts.Workers)
-	completed := newCompletions()
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			workerErrs[w] = runWorker(ctx, fileSource{b: b}, completed, in, opts, job, plans, w, &progress[w], &maxResident[w])
-		}(w)
-	}
-	wg.Wait()
-	for _, werr := range workerErrs {
-		if werr != nil && !isCtxErr(werr) {
-			return sweep.Result{}, werr
-		}
+	progress, maxResident, err := runWorkers(ctx, fileSource{b: b}, in, opts, job, plans)
+	if err != nil && !isCtxErr(err) {
+		return sweep.Result{}, err
 	}
 
 	// Fold whatever lease checkpoints exist — all of them after a clean
@@ -356,36 +309,7 @@ func runLeaseDir(ctx context.Context, in *explorer.Inputs, opts Options, job *sw
 		return sweep.Result{}, fmt.Errorf("coordinator: no lease checkpoints were written under %s", opts.LeaseDir)
 	}
 
-	// Restore the merged checkpoint into a Result. Every lease is done
-	// after a clean run, so this evaluates nothing; under a cancelled ctx
-	// it returns the partial fold alongside the ctx error.
-	res, err := job.Run(ctx, in, sweep.Options{
-		BatchSize: opts.BatchSize,
-		Retries:   opts.Retries,
-		Checkpoint: sweep.CheckpointOptions{
-			Path:   opts.Checkpoint,
-			Every:  opts.CheckpointEvery,
-			Resume: true,
-		},
-	})
-	res.Workers = progress
-	fresh := 0
-	for w := range progress {
-		fresh += progress[w].Evaluated
-		if maxResident[w] > res.Report.MaxResident {
-			res.Report.MaxResident = maxResident[w]
-		}
-	}
-	// The final restore reports every done design as Restored; designs
-	// this invocation's workers evaluated were not. (Clamped: a benign
-	// double-evaluation after a stolen-lease race can count a design
-	// twice.)
-	if restored := res.Report.Evaluated - fresh; restored >= 0 {
-		res.Report.Restored = restored
-	} else {
-		res.Report.Restored = 0
-	}
-	res.Resumed = res.Report.Restored > 0
+	res, err := restoreMerged(ctx, in, opts, job, opts.Checkpoint, progress, maxResident)
 	if err != nil {
 		return res, err
 	}
@@ -393,6 +317,70 @@ func runLeaseDir(ctx context.Context, in *explorer.Inputs, opts Options, job *sw
 		b.cleanup(opts.Worker + "/")
 	}
 	return res, nil
+}
+
+// runWorkers runs opts.Workers copies of runWorker against src — the one
+// worker pool of every transport — and waits for all of them. It returns
+// each worker's progress, the peak MaxResident of the leases they
+// completed, and the first worker error that is not a cancellation, else
+// the first cancellation.
+func runWorkers(ctx context.Context, src leaseSource, in *explorer.Inputs, opts Options, job *sweep.Job, plans []sweep.ShardPlan) ([]sweep.WorkerProgress, int, error) {
+	progress := make([]sweep.WorkerProgress, opts.Workers)
+	maxResident := make([]int, opts.Workers)
+	errs := make([]error, opts.Workers)
+	completed := newCompletions()
+	var wg sync.WaitGroup
+	for w := 0; w < opts.Workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = runWorker(ctx, src, completed, in, opts, job, plans, w, &progress[w], &maxResident[w])
+		}(w)
+	}
+	wg.Wait()
+	peak := 0
+	var first error
+	for w, err := range errs {
+		peak = max(peak, maxResident[w])
+		if err != nil && !isCtxErr(err) {
+			return progress, peak, err
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return progress, peak, first
+}
+
+// restoreMerged restores the merged checkpoint at path into a Result. Every
+// design it records as done comes back as Restored, except the ones this
+// invocation's workers (progress) evaluated. Every lease is done after a
+// clean run, so this evaluates nothing; under a cancelled ctx it returns the
+// partial fold alongside the ctx error.
+func restoreMerged(ctx context.Context, in *explorer.Inputs, opts Options, job *sweep.Job, path string, progress []sweep.WorkerProgress, maxResident int) (sweep.Result, error) {
+	res, err := job.Run(ctx, in, sweep.Options{
+		BatchSize: opts.BatchSize,
+		Retries:   opts.Retries,
+		Checkpoint: sweep.CheckpointOptions{
+			Path:   path,
+			Every:  opts.CheckpointEvery,
+			Resume: true,
+		},
+	})
+	if progress == nil {
+		return res, err
+	}
+	res.Workers = progress
+	res.Report.MaxResident = max(res.Report.MaxResident, maxResident)
+	fresh := 0
+	for _, p := range progress {
+		fresh += p.Evaluated
+	}
+	// Clamped: a benign double-evaluation after a stolen-lease race can
+	// count a design twice.
+	res.Report.Restored = max(0, res.Report.Evaluated-fresh)
+	res.Resumed = res.Report.Restored > 0
+	return res, err
 }
 
 // completions is the completion broadcast shared by the workers of one
@@ -423,7 +411,10 @@ func (c *completions) broadcast() {
 }
 
 // runWorker is one worker's claim-evaluate-complete loop, written once for
-// every transport behind the leaseSource seam.
+// every transport behind the leaseSource seam: in-process, lease files and
+// the network. It leaves each claimed lease's Result in its assignment, also
+// when cancellation cuts the lease short, and counts only the leases it
+// completed.
 func runWorker(ctx context.Context, src leaseSource, completed *completions, in *explorer.Inputs, opts Options, job *sweep.Job, plans []sweep.ShardPlan, w int, progress *sweep.WorkerProgress, maxResident *int) error {
 	label := workerLabel(opts, w)
 	progress.Worker = label
@@ -461,7 +452,7 @@ func runWorker(ctx context.Context, src leaseSource, completed *completions, in 
 			continue
 		}
 		stop := src.Watch(ctx, a, label)
-		res, err := job.Run(ctx, win, sweep.Options{
+		a.res, err = job.Run(ctx, win, sweep.Options{
 			BatchSize: opts.BatchSize,
 			Retries:   opts.Retries,
 			Plan:      sweep.Plan{Shard: plans[a.lease].Shard},
@@ -472,6 +463,7 @@ func runWorker(ctx context.Context, src leaseSource, completed *completions, in 
 			},
 		})
 		stop()
+		res := a.res
 		if err != nil && !errors.Is(err, explorer.ErrAllDesignsFailed) {
 			// Cancelled or I/O failure: leave the lease claimed. With the
 			// heartbeat stopped it expires, so a later worker — or a later

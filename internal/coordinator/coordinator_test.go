@@ -268,6 +268,73 @@ func TestCoordinatorCancellation(t *testing.T) {
 	}
 }
 
+// TestInProcessCancellationCountsCompletedLeases: an in-process run
+// cancelled partway counts only the leases its workers completed, accounts
+// for every design as evaluated, failed or skipped — a lease nobody claimed
+// is skipped, not out of shard — and its partial optimum and frontier fold
+// every evaluated design, including those of the lease cancellation cut
+// short.
+func TestInProcessCancellationCountsCompletedLeases(t *testing.T) {
+	in := testInputs(t)
+	space := testSpace(in)
+	strategy := explorer.RenewablesBatteryCAS
+	designs := space.Enumerate(strategy, in.AvgDemandMW())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	evaluated := map[explorer.Design]bool{}
+	hooked := *in
+	hooked.EvalHook = func(d explorer.Design) error {
+		mu.Lock()
+		defer mu.Unlock()
+		evaluated[d] = true
+		if len(evaluated) == 30 {
+			cancel()
+		}
+		return nil
+	}
+	got, err := Run(ctx, &hooked, space, strategy, Options{Workers: 2, Leases: 10, BatchSize: 2})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: want context.Canceled, got %v", err)
+	}
+	rep := got.Report
+	leases := 0
+	for _, wp := range got.Workers {
+		leases += wp.Leases
+	}
+	if done := rep.Evaluated + len(rep.Failures); leases*10 > done {
+		t.Fatalf("workers completed %d leases of 10 designs, but only %d designs were evaluated or failed", leases, done)
+	}
+	if rep.Evaluated+len(rep.Failures)+rep.Skipped != len(designs) || rep.OutOfShard != 0 {
+		t.Fatalf("report %+v does not account for all %d designs as evaluated, failed or skipped", rep, len(designs))
+	}
+	if rep.Evaluated != len(evaluated) {
+		t.Fatalf("report counts %d evaluated designs, the hook saw %d", rep.Evaluated, len(evaluated))
+	}
+
+	var want sweep.Result
+	var frontier explorer.ParetoSet
+	ev := in.NewEvaluator()
+	ev.DiscardSoCTrace = true
+	for _, d := range designs {
+		if !evaluated[d] {
+			continue
+		}
+		o, err := ev.Evaluate(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Report.Evaluated == 0 || explorer.Better(o, want.Optimal) {
+			want.Optimal = o
+		}
+		want.Report.Evaluated++
+		frontier.Add(o)
+	}
+	want.Frontier = frontier.Frontier()
+	requireSameResult(t, want, got)
+}
+
 // TestCoordinatedSweepEndsWithoutPollTail: a worker whose claim finds every
 // remaining lease running on a sibling of the same Run is woken by that
 // sibling's completion, not by its next poll. The heartbeat, and with it

@@ -10,13 +10,16 @@
 // drains its lease simply claims the next one, so the wall-clock tracks
 // aggregate throughput instead of the slowest slice.
 //
-// Two modes share one entry point, Run:
+// Three transports share one entry point, Run, and one worker loop: every
+// worker claims a lease, runs sweep.Run over the lease's shard slice,
+// completes the lease and claims the next, whatever the leases live in.
 //
-//   - In-process (Options.LeaseDir empty): a pool of goroutines pulls
-//     lease indices from a channel, runs sweep.Run over each lease's shard
-//     slice, and the per-lease Results fold in lease order through
-//     sweep.MergeResults — reproducing the single-process optimum,
-//     frontier, and failure ordering exactly.
+//   - In-process (Options.LeaseDir and Options.Endpoint empty): the leases
+//     live in memory. They are handed out in order, never expire, and
+//     write no files; each lease's Result stays in memory, and the Results
+//     fold in lease order through sweep.MergeResults — reproducing the
+//     single-process optimum, frontier, and failure ordering exactly. A
+//     lease cancellation cut short is folded but not counted as completed.
 //
 //   - Lease directory (Options.LeaseDir set): workers — possibly in
 //     different processes started independently — coordinate through
@@ -30,6 +33,11 @@
 //     designs are restored, not re-evaluated. When every lease is done the
 //     checkpoints fold through sweep.MergeCheckpoints into one resumable
 //     merged checkpoint, and the Result is restored from it.
+//
+//   - Network (Options.Endpoint set): the same claim/heartbeat/steal
+//     protocol against an HTTP coordinator (Service), which holds the lease
+//     checkpoints and builds the merged checkpoint the Result is restored
+//     from, exactly as in lease-directory mode.
 //
 // Determinism is inherited, not re-proven: evaluation is deterministic,
 // per-lease checkpoints only ever move designs forward, and both merge

@@ -1,10 +1,10 @@
 package coordinator
 
 // Transport-oblivious workers. The claim/heartbeat/complete loop a worker
-// runs is identical whether leases live in a shared directory or behind an
-// HTTP coordinator; leaseSource abstracts exactly that seam, so runWorker
-// (coordinator.go) is written once and chaos tests exercising one transport
-// exercise the scheduling logic of both.
+// runs is identical whether leases live in memory, in a shared directory or
+// behind an HTTP coordinator; leaseSource abstracts exactly that seam, so
+// runWorker (coordinator.go) is written once and chaos tests exercising one
+// transport exercise the scheduling logic of all three.
 
 import (
 	"bytes"
@@ -21,14 +21,16 @@ import (
 )
 
 // assignment is one claimed lease as a worker sees it: which slice, whether
-// it was stolen, and where its resumable checkpoint lives on the local
+// it was stolen, where its resumable checkpoint lives on the local
 // filesystem (the shared directory in file mode, a private staging
-// directory in network mode).
+// directory in network mode, none in-process), and the lease's sweep Result
+// once runWorker has run it.
 type assignment struct {
 	lease  int
 	stolen bool
 	ckpt   string
-	t      *ticket // file-mode claim ticket; nil over the network
+	t      *ticket // file-mode claim ticket; nil otherwise
+	res    sweep.Result
 }
 
 // leaseSource is the transport seam: how a worker claims, keeps alive, and
@@ -49,6 +51,35 @@ type leaseSource interface {
 	// worker of the same job completes a lease first.
 	Poll() time.Duration
 }
+
+// memSource hands an in-process run's leases out in order. It writes no
+// files and never expires a lease: its workers share one process, so a lease
+// ends only by finishing or by cancellation. It keeps every claimed
+// assignment in lease order, so runMemory can fold their Results.
+type memSource struct {
+	leases int
+
+	mu      sync.Mutex
+	claimed []*assignment
+}
+
+func (m *memSource) Claim(context.Context, string) (*assignment, bool, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.claimed) == m.leases {
+		return nil, true, nil
+	}
+	a := &assignment{lease: len(m.claimed)}
+	m.claimed = append(m.claimed, a)
+	return a, false, nil
+}
+
+func (m *memSource) Watch(context.Context, *assignment, string) func() { return func() {} }
+
+func (m *memSource) Complete(context.Context, *assignment, string) error { return nil }
+
+// Poll is never waited out: Claim never reports a lease running elsewhere.
+func (m *memSource) Poll() time.Duration { return 0 }
 
 // fileSource adapts the lease-file board to leaseSource — the original
 // shared-directory transport.
@@ -202,6 +233,18 @@ func runNetwork(ctx context.Context, in *explorer.Inputs, opts Options, job *swe
 		return sweep.Result{}, fmt.Errorf("coordinator: creating checkpoint staging directory: %w", err)
 	}
 	defer os.RemoveAll(staging)
+	// restore lands the coordinator's merged checkpoint locally and
+	// restores the Result from it.
+	restore := func(data []byte, progress []sweep.WorkerProgress, maxResident int) (sweep.Result, error) {
+		ckpt := opts.Checkpoint
+		if ckpt == "" {
+			ckpt = MergedCheckpointPath(staging)
+		}
+		if err := sweep.WriteFileAtomic(ckpt, data); err != nil {
+			return sweep.Result{}, err
+		}
+		return restoreMerged(ctx, in, opts, job, ckpt, progress, maxResident)
+	}
 
 	if regResp.Complete {
 		// The coordinator already finished — and archived — this exact job
@@ -212,23 +255,7 @@ func runNetwork(ctx context.Context, in *explorer.Inputs, opts Options, job *swe
 		if err != nil {
 			return sweep.Result{}, err
 		}
-		ckpt := opts.Checkpoint
-		if ckpt == "" {
-			ckpt = MergedCheckpointPath(staging)
-		}
-		if err := sweep.WriteFileAtomic(ckpt, data); err != nil {
-			return sweep.Result{}, err
-		}
-		res, err := job.Run(ctx, in, sweep.Options{
-			BatchSize: opts.BatchSize,
-			Retries:   opts.Retries,
-			Checkpoint: sweep.CheckpointOptions{
-				Path:   ckpt,
-				Every:  opts.CheckpointEvery,
-				Resume: true,
-			},
-		})
-		return res, err
+		return restore(data, nil, 0)
 	}
 
 	// The coordinator's lease count wins; every registered worker re-plans
@@ -242,23 +269,9 @@ func runNetwork(ctx context.Context, in *explorer.Inputs, opts Options, job *swe
 	}
 	src := &netSource{c: client, dir: staging, beat: opts.Heartbeat, reg: reg, leases: regResp.Leases}
 
-	progress := make([]sweep.WorkerProgress, opts.Workers)
-	maxResident := make([]int, opts.Workers)
-	workerErrs := make([]error, opts.Workers)
-	completed := newCompletions()
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			workerErrs[w] = runWorker(ctx, src, completed, in, opts, job, plans, w, &progress[w], &maxResident[w])
-		}(w)
-	}
-	wg.Wait()
-	for _, werr := range workerErrs {
-		if werr != nil && !isCtxErr(werr) {
-			return sweep.Result{}, werr
-		}
+	progress, maxResident, err := runWorkers(ctx, src, in, opts, job, plans)
+	if err != nil && !isCtxErr(err) {
+		return sweep.Result{}, err
 	}
 
 	// Fetch the coordinator's merged fold. Under a cancelled ctx the fetch
@@ -277,39 +290,5 @@ func runNetwork(ctx context.Context, in *explorer.Inputs, opts Options, job *swe
 		}
 		return sweep.Result{}, err
 	}
-	ckpt := opts.Checkpoint
-	if ckpt == "" {
-		ckpt = MergedCheckpointPath(staging)
-	}
-	if err := sweep.WriteFileAtomic(ckpt, data); err != nil {
-		return sweep.Result{}, err
-	}
-
-	// Restore the merged checkpoint into a Result, with the same accounting
-	// as runLeaseDir: the restore reports every done design as Restored;
-	// designs this process's workers evaluated were not.
-	res, err := job.Run(ctx, in, sweep.Options{
-		BatchSize: opts.BatchSize,
-		Retries:   opts.Retries,
-		Checkpoint: sweep.CheckpointOptions{
-			Path:   ckpt,
-			Every:  opts.CheckpointEvery,
-			Resume: true,
-		},
-	})
-	res.Workers = progress
-	fresh := 0
-	for w := range progress {
-		fresh += progress[w].Evaluated
-		if maxResident[w] > res.Report.MaxResident {
-			res.Report.MaxResident = maxResident[w]
-		}
-	}
-	if restored := res.Report.Evaluated - fresh; restored >= 0 {
-		res.Report.Restored = restored
-	} else {
-		res.Report.Restored = 0
-	}
-	res.Resumed = res.Report.Restored > 0
-	return res, err
+	return restore(data, progress, maxResident)
 }

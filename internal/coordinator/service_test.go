@@ -54,7 +54,7 @@ func leaseCheckpointBytes(t *testing.T, in *explorer.Inputs, space explorer.Spac
 	}
 	path := filepath.Join(t.TempDir(), "lease.json")
 	if _, err := sweep.Run(context.Background(), in, space, explorer.RenewablesBatteryCAS, sweep.Options{
-		Shard:      plans[li].Shard,
+		Plan:       sweep.Plan{Shard: plans[li].Shard},
 		Checkpoint: sweep.CheckpointOptions{Path: path, Every: 1},
 	}); err != nil {
 		t.Fatalf("evaluating lease %d: %v", li, err)
@@ -351,7 +351,7 @@ func TestServiceIncompleteCompletionRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "partial.json")
 	_, err = sweep.Run(ctx, &hooked, space, explorer.RenewablesBatteryCAS, sweep.Options{
 		BatchSize:  1,
-		Shard:      plans[0].Shard,
+		Plan:       sweep.Plan{Shard: plans[0].Shard},
 		Checkpoint: sweep.CheckpointOptions{Path: path, Every: 1},
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -10,10 +10,13 @@
 // exhaustively sweeps a Space under one of the four Strategies and
 // materializes every Outcome — the computation behind Figures 14 and 15.
 // Search is fault-tolerant: a failing or panicking design is contained
-// (EvaluateSafe), excluded from the optimum, and reported in SearchReport.
+// (Evaluator.EvaluateSafe), excluded from the optimum, and reported in
+// SearchReport.
 //
-// For dense grids and long-running sweeps, internal/sweep provides a
-// streaming counterpart built on the same evaluation: bounded memory via
-// batch folding into a running optimum and ParetoSet, checkpoint/resume,
-// and a retry pass for transient failures.
+// EvaluateAll is the one evaluation pool: Search and every sweep batch of
+// internal/sweep evaluate through it, on per-worker Evaluators, simulating
+// each twin class (Twins) once. For dense grids and long-running sweeps,
+// internal/sweep provides a streaming counterpart built on that pool:
+// bounded memory via batch folding into a running optimum and ParetoSet,
+// checkpoint/resume, and a retry pass for transient failures.
 package explorer

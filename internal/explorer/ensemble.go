@@ -58,7 +58,7 @@ func EnsembleEvaluateContext(ctx context.Context, site grid.Site, d Design, year
 		// EvaluateSafe contains panics to the offending year: an ensemble
 		// is often run unattended over many sites, and one hostile weather
 		// realization should surface as an error, not kill the process.
-		o, err := in.EvaluateSafe(d)
+		o, err := in.NewEvaluator().EvaluateSafe(d)
 		if err != nil {
 			return EnsembleResult{}, fmt.Errorf("explorer: ensemble year %d: %w", y, err)
 		}

@@ -30,8 +30,8 @@ type Evaluator struct {
 	// DiscardSoCTrace skips copying the hourly battery state-of-charge trace
 	// into outcomes, leaving Outcome.BatterySoC zero. The sweep's fold drops
 	// the trace anyway (checkpoints would balloon otherwise), and
-	// SearchContext's pool needs only the optimum's, which it rebuilds on
-	// one evaluator with the flag off once the pool has drained; discarding
+	// SearchContext needs only the optimum's, which it rebuilds on one
+	// evaluator with the flag off once the pool has drained; discarding
 	// it at the source makes the steady-state path allocation-free. Leave
 	// false when every outcome feeds Figure 16-style SoC analysis.
 	DiscardSoCTrace bool
@@ -225,10 +225,14 @@ func (e *Evaluator) Evaluate(d Design) (Outcome, error) {
 	return out, nil
 }
 
-// EvaluateSafe is Evaluate with the same panic containment and EvalHook
-// semantics as Inputs.EvaluateSafe. A recovered panic leaves the evaluator
-// reusable: the memo was invalidated before the buffer was touched, and the
-// scheduler scratch re-zeroes itself on the next run.
+// EvaluateSafe runs one evaluation with panic containment: a panicking
+// design surfaces as a *PanicError instead of killing the process. The
+// fault-injection hook (Inputs.EvalHook), when set, runs first and may fail
+// the design. The evaluation pool (EvaluateAll) evaluates through this entry
+// point so a single hostile design can never sink a whole search or sweep.
+// A recovered panic leaves the evaluator reusable: the memo was invalidated
+// before the buffer was touched, and the scheduler scratch re-zeroes itself
+// on the next run.
 func (e *Evaluator) EvaluateSafe(d Design) (o Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {

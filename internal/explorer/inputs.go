@@ -33,10 +33,12 @@ type Inputs struct {
 	// EvalHook, when non-nil, runs before every design evaluation inside a
 	// search sweep. A non-nil error (or a panic) fails that design alone —
 	// the sweep's panic containment applies. It does not run for a design
-	// whose twin (see Twins) is already done: that design takes its twin's
-	// outcome without being simulated, though reports still count it as
-	// evaluated. It exists for fault injection in chaos tests and for canary
-	// checks in long-running services; leave it nil in normal operation.
+	// whose twin (see Twins) is already done, or evaluated successfully in
+	// the same EvaluateAll slice (a search, a sweep batch): that design takes
+	// its twin's outcome without being simulated, though reports still count
+	// it as evaluated. It exists for fault injection in chaos tests and for
+	// canary checks in long-running services; leave it nil in normal
+	// operation.
 	EvalHook func(Design) error
 
 	// demandTotalMWh caches Demand.Sum().

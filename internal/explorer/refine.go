@@ -105,7 +105,7 @@ func (in *Inputs) RefineSearchContext(ctx context.Context, space Space, strategy
 			return RefineResult{}, err
 		}
 		out.Evaluations += len(res.Points)
-		if better(res.Optimal, out.Optimal) {
+		if Better(res.Optimal, out.Optimal) {
 			out.Optimal = res.Optimal
 		}
 		out.Rounds = append(out.Rounds, float64(out.Optimal.Total()))
@@ -284,7 +284,7 @@ func (in *Inputs) CoordinateDescent(start Design, strategy Strategy, maxTotalMW 
 			if o2.Total() < o1.Total() {
 				cand = o2
 			}
-			if better(cand, out.Optimal) {
+			if Better(cand, out.Optimal) {
 				out.Optimal = cand
 			}
 		}

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/debug"
 	"sort"
-	"sync"
 )
 
 // Space bounds the exhaustive design-space search. Datacenter operators
@@ -207,81 +205,22 @@ func (in *Inputs) SearchContext(ctx context.Context, space Space, strategy Strat
 		return SearchResult{}, fmt.Errorf("explorer: empty search space")
 	}
 
-	points := make([]Outcome, len(designs))
-	errs := make([]error, len(designs))
-	skipped := make([]bool, len(designs))
-	// A fixed pool with one Evaluator per worker: designs flow through the
-	// index channel in enumeration order, so each worker sees mostly-adjacent
-	// designs and the evaluator's supply memoization stays warm. The pool
-	// copies no SoC trace; the optimum's is rebuilt after it drains.
+	// One Evaluator per pool worker. The pool copies no SoC trace; the
+	// optimum's is rebuilt after it drains.
 	evs := make([]*Evaluator, min(runtime.GOMAXPROCS(0), len(designs)))
 	for w := range evs {
 		evs[w] = in.NewEvaluator()
 		evs[w].DiscardSoCTrace = true
 	}
-	run := func(idxs []int) {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for _, ev := range evs[:min(len(evs), len(idxs))] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ctx.Err() != nil {
-						skipped[i] = true
-						continue
-					}
-					points[i], errs[i] = ev.EvaluateSafe(designs[i])
-				}
-			}()
-		}
-		for k, i := range idxs {
-			if ctx.Err() != nil {
-				// Cancelled while dispatching: everything not yet
-				// dispatched is skipped.
-				for _, j := range idxs[k:] {
-					skipped[j] = true
-				}
-				break
-			}
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	// Only representatives go through the pool; each twin then takes its
-	// representative's outcome under its own Design (see Twins). A twin
-	// of a failed representative is evaluated on its own, since failures
-	// are per design (EvalHook); a twin of a skipped one is skipped too.
-	twins := in.Twins(designs)
-	reps := make([]int, 0, len(designs))
-	for i := range designs {
-		if twins == nil || twins[i] == i {
-			reps = append(reps, i)
-		}
-	}
-	run(reps)
-	var orphans []int
-	for i, r := range twins {
-		switch {
-		case r == i:
-		case skipped[r]:
-			skipped[i] = true
-		case errs[r] != nil:
-			orphans = append(orphans, i)
-		default:
-			points[i] = points[r]
-			points[i].Design = designs[i]
-		}
-	}
-	run(orphans)
+	points := make([]Outcome, len(designs))
+	errs := make([]error, len(designs))
+	in.EvaluateAll(ctx, evs, designs, points, errs)
 
 	res := SearchResult{Strategy: strategy}
 	var survivors []Outcome
 	for i := range designs {
 		switch {
-		case skipped[i]:
+		case errors.Is(errs[i], ErrSkipped):
 			res.Report.Skipped++
 		case errs[i] != nil:
 			res.Report.Failures = append(res.Report.Failures, DesignError{Design: designs[i], Err: errs[i]})
@@ -302,7 +241,7 @@ func (in *Inputs) SearchContext(ctx context.Context, space Space, strategy Strat
 	}
 	res.Optimal = survivors[0]
 	for _, p := range survivors[1:] {
-		if better(p, res.Optimal) {
+		if Better(p, res.Optimal) {
 			res.Optimal = p
 		}
 	}
@@ -322,28 +261,12 @@ func (in *Inputs) SearchContext(ctx context.Context, space Space, strategy Strat
 	return res, ctx.Err()
 }
 
-// EvaluateSafe runs one evaluation with panic containment: a panicking
-// design surfaces as a *PanicError instead of killing the process. The
-// fault-injection hook (EvalHook), when set, runs first and may fail the
-// design. Search workers and the sweep engine (internal/sweep) evaluate
-// through this entry point so a single hostile design can never sink a
-// whole sweep.
-func (in *Inputs) EvaluateSafe(d Design) (o Outcome, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	if in.EvalHook != nil {
-		if err := in.EvalHook(d); err != nil {
-			return Outcome{}, err
-		}
-	}
-	return in.Evaluate(d)
-}
-
-// better reports whether a should replace b as the carbon optimum.
-func better(a, b Outcome) bool {
+// Better reports whether a should replace b as the carbon optimum: lower
+// total (operational + embodied) carbon, ties toward higher coverage. It is
+// the one optimum ordering of searches, sweep folds and checkpoint merges
+// (serve's optimum query mirrors it), so they all agree on exactly tied
+// designs.
+func Better(a, b Outcome) bool {
 	if a.Total() != b.Total() { //carbonlint:allow floatcmp exact-bits tie-break makes the optimum independent of evaluation order
 		return a.Total() < b.Total()
 	}

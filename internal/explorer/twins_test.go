@@ -46,7 +46,7 @@ func referenceSearch(t *testing.T, in *Inputs, space Space, strategy Strategy) S
 		if err != nil {
 			t.Fatalf("reference %+v: %v", d, err)
 		}
-		if len(res.Points) == 0 || better(o, res.Optimal) {
+		if len(res.Points) == 0 || Better(o, res.Optimal) {
 			res.Optimal = o
 		}
 		o.BatterySoC = timeseries.Series{}
@@ -245,5 +245,67 @@ func TestTwinsKeepInvalidInvestments(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("twins %+v and %+v simulate differently", designs[0], d)
 		}
+	}
+}
+
+// TestEvaluateAllTwins: the shared pool fills every slot of a slice — on one
+// evaluator and on several — with the outcome Evaluate gives that design,
+// simulating each twin class once, its representative first; one evaluator
+// takes the representatives in slice order. Under a cancelled context every
+// design gets ErrSkipped and none is hooked.
+func TestEvaluateAllTwins(t *testing.T) {
+	in := *siteInputs(t, "NC")
+	designs := section5Space(&in).Enumerate(RenewablesOnly, in.AvgDemandMW())
+	var mu sync.Mutex
+	var hooked []Design
+	in.EvalHook = func(d Design) error {
+		mu.Lock()
+		defer mu.Unlock()
+		hooked = append(hooked, d)
+		return nil
+	}
+	var reps []Design
+	for i, r := range in.Twins(designs) {
+		if r == i {
+			reps = append(reps, designs[i])
+		}
+	}
+	out := make([]Outcome, len(designs))
+	errs := make([]error, len(designs))
+	for _, workers := range []int{1, 3} {
+		evs := make([]*Evaluator, workers)
+		for w := range evs {
+			evs[w] = in.NewEvaluator()
+		}
+		hooked = nil
+		in.EvaluateAll(context.Background(), evs, designs, out, errs)
+		if len(designs) != 36 || len(hooked) != 6 {
+			t.Fatalf("%d workers: %d of %d designs simulated, want 6 of 36", workers, len(hooked), len(designs))
+		}
+		if workers == 1 && !reflect.DeepEqual(hooked, reps) {
+			t.Fatalf("one evaluator simulated %+v, want the representatives in order %+v", hooked, reps)
+		}
+		for i, d := range designs {
+			want, err := in.Evaluate(d)
+			if err != nil || errs[i] != nil {
+				t.Fatalf("%d workers, %+v: errors %v and %v", workers, d, errs[i], err)
+			}
+			if !reflect.DeepEqual(out[i], want) {
+				t.Fatalf("%d workers, %+v: pool outcome differs from Evaluate", workers, d)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	hooked = nil
+	in.EvaluateAll(ctx, []*Evaluator{in.NewEvaluator(), in.NewEvaluator()}, designs, out, errs)
+	for i, err := range errs[:len(designs)] {
+		if !errors.Is(err, ErrSkipped) {
+			t.Fatalf("design %d under a cancelled context: error %v, want ErrSkipped", i, err)
+		}
+	}
+	if len(hooked) != 0 {
+		t.Fatalf("a cancelled pool simulated %d designs", len(hooked))
 	}
 }

@@ -279,7 +279,7 @@ func TestChaosShardedMergeResume(t *testing.T) {
 			mu.Unlock()
 			return nil
 		}
-		_, err := sweep.Run(ctx, in, space, explorer.RenewablesBatteryCAS, sweep.Options{BatchSize: 3, Shard: sweep.Shard{Index: 1, Count: shards}, Checkpoint: sweep.CheckpointOptions{Path: shard1, Every: 2, Resume: true}})
+		_, err := sweep.Run(ctx, in, space, explorer.RenewablesBatteryCAS, sweep.Options{BatchSize: 3, Plan: sweep.Plan{Shard: sweep.Shard{Index: 1, Count: shards}}, Checkpoint: sweep.CheckpointOptions{Path: shard1, Every: 2, Resume: true}})
 		cancel()
 		if err == nil {
 			break
@@ -296,7 +296,7 @@ func TestChaosShardedMergeResume(t *testing.T) {
 	// must absorb them all within one run.
 	in.EvalHook = TransientFaults(42, 0.25)
 	shard2 := filepath.Join(dir, "shard2.json")
-	res2, err := sweep.Run(context.Background(), in, space, explorer.RenewablesBatteryCAS, sweep.Options{BatchSize: 4, Shard: sweep.Shard{Index: 2, Count: shards}, Checkpoint: sweep.CheckpointOptions{Path: shard2}})
+	res2, err := sweep.Run(context.Background(), in, space, explorer.RenewablesBatteryCAS, sweep.Options{BatchSize: 4, Plan: sweep.Plan{Shard: sweep.Shard{Index: 2, Count: shards}}, Checkpoint: sweep.CheckpointOptions{Path: shard2}})
 	if err != nil {
 		t.Fatalf("transient-fault shard: %v", err)
 	}
@@ -322,7 +322,7 @@ func TestChaosShardedMergeResume(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	_, err = sweep.Run(ctx, in, space, explorer.RenewablesBatteryCAS, sweep.Options{BatchSize: 3, Shard: sweep.Shard{Index: 3, Count: shards}, Checkpoint: sweep.CheckpointOptions{Path: shard3, Every: 1, Resume: true}})
+	_, err = sweep.Run(ctx, in, space, explorer.RenewablesBatteryCAS, sweep.Options{BatchSize: 3, Plan: sweep.Plan{Shard: sweep.Shard{Index: 3, Count: shards}}, Checkpoint: sweep.CheckpointOptions{Path: shard3, Every: 1, Resume: true}})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("shard 3 should die of the injected kill, got %v", err)

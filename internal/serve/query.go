@@ -108,14 +108,14 @@ func (s *Snapshot) FrontierBounds(minEmbodiedG, maxEmbodiedG float64) (lo, hi in
 	return lo, hi
 }
 
-// betterPoint mirrors the sweep engine's optimum ordering — minimum total
+// betterPoint mirrors explorer.Better, the optimum ordering — minimum total
 // carbon, ties toward higher coverage — so serve answers agree with the
 // batch fold.
 //
 //carbonlint:hotpath
 func betterPoint(a, b *Point) bool {
 	at, bt := a.Outcome.Total(), b.Outcome.Total()
-	if at != bt { //carbonlint:allow floatcmp exact-bits tie-break mirrors sweep.betterOutcome so serve and batch agree
+	if at != bt { //carbonlint:allow floatcmp exact-bits tie-break mirrors explorer.Better so serve and batch agree
 		return at < bt
 	}
 	return a.Outcome.CoveragePct > b.Outcome.CoveragePct

@@ -425,39 +425,6 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
-// TestPlanShardSubsumesLegacyShard: the deprecated Options.Shard keeps
-// working, and a non-zero Plan.Shard wins when both are set.
-func TestPlanShardSubsumesLegacyShard(t *testing.T) {
-	in := testInputs(t)
-	space := testSpace(in)
-	strategy := explorer.RenewablesBatteryCAS
-
-	legacy, err := Run(context.Background(), in, space, strategy,
-		Options{Shard: Shard{Index: 1, Count: 2}})
-	if err != nil {
-		t.Fatalf("legacy shard run: %v", err)
-	}
-	planned, err := Run(context.Background(), in, space, strategy,
-		Options{Plan: Plan{Shard: Shard{Index: 1, Count: 2}}})
-	if err != nil {
-		t.Fatalf("plan shard run: %v", err)
-	}
-	if legacy.Report.OutOfShard != planned.Report.OutOfShard || legacy.Report.Evaluated != planned.Report.Evaluated {
-		t.Fatalf("legacy and plan shard runs diverge: %+v vs %+v", legacy.Report, planned.Report)
-	}
-
-	// Conflicting values: Plan.Shard wins (shard 2/2 evaluates the other
-	// half of the space than shard 1/2).
-	both, err := Run(context.Background(), in, space, strategy,
-		Options{Shard: Shard{Index: 1, Count: 2}, Plan: Plan{Shard: Shard{Index: 2, Count: 2}}})
-	if err != nil {
-		t.Fatalf("conflicting shard run: %v", err)
-	}
-	if both.Optimal.Design == legacy.Optimal.Design && both.Report.Evaluated == legacy.Report.Evaluated {
-		t.Fatal("Plan.Shard did not take precedence over the deprecated Options.Shard")
-	}
-}
-
 // assertSameFileBytes fails unless the two files have identical contents.
 func assertSameFileBytes(t *testing.T, a, b string) {
 	t.Helper()

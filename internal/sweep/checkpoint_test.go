@@ -128,7 +128,7 @@ func TestCheckpointV1StillLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if best == nil || betterOutcome(o, *best) {
+		if best == nil || explorer.Better(o, *best) {
 			best = &o
 		}
 		frontier.Add(o)

@@ -15,7 +15,7 @@
 //
 // # Sharding
 //
-// A sweep can be split across workers with Options.Shard. Shard i/N claims
+// A sweep can be split across workers with Plan.Shard. Shard i/N claims
 // the i-th of N contiguous slices of the design enumeration (Shard.Bounds,
 // PlanShards); the partition is a pure function of the enumeration length
 // and N, so workers on separate machines agree on it with no coordination

@@ -73,7 +73,7 @@ func ExampleMergeCheckpoints() {
 		ckpt := filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
 		if _, err := sweep.Run(context.Background(), in, space, explorer.RenewablesBatteryCAS, sweep.Options{
 			Checkpoint: sweep.CheckpointOptions{Path: ckpt},
-			Shard:      sweep.Shard{Index: i, Count: 2},
+			Plan:       sweep.Plan{Shard: sweep.Shard{Index: i, Count: 2}},
 		}); err != nil {
 			panic(err)
 		}

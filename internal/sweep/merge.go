@@ -202,7 +202,7 @@ func MergeCheckpoints(dst string, srcs ...string) (MergeReport, error) {
 		}
 		if in.ck.Best != nil {
 			o := in.ck.Best.outcome()
-			if best == nil || betterOutcome(o, best.outcome()) {
+			if best == nil || explorer.Better(o, best.outcome()) {
 				b := *in.ck.Best
 				best = &b
 			}
@@ -294,7 +294,7 @@ func MergeResults(results ...Result) Result {
 	for _, r := range results {
 		if r.Report.Evaluated > 0 {
 			o := r.Optimal
-			if best == nil || betterOutcome(o, *best) {
+			if best == nil || explorer.Better(o, *best) {
 				best = &o
 			}
 		}

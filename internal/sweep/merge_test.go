@@ -18,7 +18,7 @@ func runShard(t *testing.T, in *explorer.Inputs, space explorer.Space, dir strin
 	t.Helper()
 	ckpt := filepath.Join(dir, fmt.Sprintf("shard%dof%d.json", i, n))
 	if _, err := Run(context.Background(), in, space, explorer.RenewablesBatteryCAS,
-		Options{BatchSize: 6, Shard: Shard{Index: i, Count: n}, Checkpoint: CheckpointOptions{Path: ckpt}}); err != nil {
+		Options{BatchSize: 6, Plan: Plan{Shard: Shard{Index: i, Count: n}}, Checkpoint: CheckpointOptions{Path: ckpt}}); err != nil {
 		t.Fatalf("shard %d/%d: %v", i, n, err)
 	}
 	return ckpt
@@ -33,12 +33,12 @@ func TestMergeRejectsMismatchedShards(t *testing.T) {
 
 	a := filepath.Join(dir, "a.json")
 	if _, err := Run(context.Background(), in, space, explorer.RenewablesBatteryCAS,
-		Options{Shard: Shard{1, 2}, Checkpoint: CheckpointOptions{Path: a}}); err != nil {
+		Options{Plan: Plan{Shard: Shard{1, 2}}, Checkpoint: CheckpointOptions{Path: a}}); err != nil {
 		t.Fatal(err)
 	}
 	b := filepath.Join(dir, "b.json")
 	if _, err := Run(context.Background(), in, space, explorer.RenewablesOnly,
-		Options{Shard: Shard{2, 2}, Checkpoint: CheckpointOptions{Path: b}}); err != nil {
+		Options{Plan: Plan{Shard: Shard{2, 2}}, Checkpoint: CheckpointOptions{Path: b}}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := MergeCheckpoints(filepath.Join(dir, "merged.json"), a, b)
@@ -143,7 +143,7 @@ func TestMergeOverlappingAttempts(t *testing.T) {
 		return transient(d)
 	}
 	_, err = Run(ctx, in, space, explorer.RenewablesBatteryCAS,
-		Options{BatchSize: 4, Shard: Shard{1, 2}, Checkpoint: CheckpointOptions{Path: attempt1, Every: 2}})
+		Options{BatchSize: 4, Plan: Plan{Shard: Shard{1, 2}}, Checkpoint: CheckpointOptions{Path: attempt1, Every: 2}})
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("attempt 1 should die of the injected kill, got %v", err)

@@ -54,8 +54,13 @@ type Plan struct {
 	Mode Mode
 	// Shard, when non-zero, restricts the run to its contiguous i/N slice
 	// of the work-list (the full enumeration in exhaustive mode, the
-	// current round's lattice points in adaptive mode). It subsumes the
-	// deprecated Options.Shard field.
+	// current round's lattice points in adaptive mode; Shard.Bounds over
+	// the full list). The checkpoint still covers the whole work-list —
+	// designs outside the slice stay pending — so any set of shard
+	// checkpoints over the same sweep folds with MergeCheckpoints into the
+	// single-process result. The space hash is of the FULL work-list, so
+	// shards of the same sweep agree on it and mismatched shards are
+	// rejected on resume and merge.
 	Shard Shard
 
 	// Tolerance is the adaptive mode's relative pruning slack: a cell is

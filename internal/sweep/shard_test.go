@@ -137,7 +137,7 @@ func TestShardedRunsMergeToSingleProcess(t *testing.T) {
 	for i := 1; i <= shards; i++ {
 		ckpt := filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
 		res, err := Run(context.Background(), in, space, explorer.RenewablesBatteryCAS,
-			Options{BatchSize: 5, Shard: Shard{Index: i, Count: shards}, Checkpoint: CheckpointOptions{Path: ckpt}})
+			Options{BatchSize: 5, Plan: Plan{Shard: Shard{Index: i, Count: shards}}, Checkpoint: CheckpointOptions{Path: ckpt}})
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", i, shards, err)
 		}
@@ -203,17 +203,17 @@ func TestShardCheckpointRejectsWrongShard(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "shard1.json")
 
 	if _, err := Run(context.Background(), in, space, explorer.RenewablesBatteryCAS,
-		Options{Shard: Shard{1, 3}, Checkpoint: CheckpointOptions{Path: ckpt}}); err != nil {
+		Options{Plan: Plan{Shard: Shard{1, 3}}, Checkpoint: CheckpointOptions{Path: ckpt}}); err != nil {
 		t.Fatalf("shard 1/3: %v", err)
 	}
 	_, err := Run(context.Background(), in, space, explorer.RenewablesBatteryCAS,
-		Options{Shard: Shard{2, 3}, Checkpoint: CheckpointOptions{Path: ckpt, Resume: true}})
+		Options{Plan: Plan{Shard: Shard{2, 3}}, Checkpoint: CheckpointOptions{Path: ckpt, Resume: true}})
 	if !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("resuming shard 1/3's checkpoint as 2/3: want ErrCheckpointMismatch, got %v", err)
 	}
 	// The same shard resumes its own checkpoint fine.
 	if _, err := Run(context.Background(), in, space, explorer.RenewablesBatteryCAS,
-		Options{Shard: Shard{1, 3}, Checkpoint: CheckpointOptions{Path: ckpt, Resume: true}}); err != nil {
+		Options{Plan: Plan{Shard: Shard{1, 3}}, Checkpoint: CheckpointOptions{Path: ckpt, Resume: true}}); err != nil {
 		t.Fatalf("same-shard resume: %v", err)
 	}
 	// And an unsharded run may adopt it whole (lost-shard recovery).
@@ -234,7 +234,7 @@ func TestEmptyShardIsNoop(t *testing.T) {
 	in := testInputs(t)
 	space := denseSpace(in, 2) // 4 designs
 	res, err := Run(context.Background(), in, space, explorer.RenewablesOnly,
-		Options{Shard: Shard{5, 5}})
+		Options{Plan: Plan{Shard: Shard{5, 5}}})
 	if err != nil {
 		t.Fatalf("empty shard: %v", err)
 	}
@@ -248,7 +248,7 @@ func TestEmptyShardIsNoop(t *testing.T) {
 func TestInvalidShardOptionRejected(t *testing.T) {
 	in := testInputs(t)
 	_, err := Run(context.Background(), in, testSpace(in), explorer.RenewablesOnly,
-		Options{Shard: Shard{4, 3}})
+		Options{Plan: Plan{Shard: Shard{4, 3}}})
 	if !errors.Is(err, ErrBadShard) {
 		t.Fatalf("want ErrBadShard, got %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"carbonexplorer/internal/explorer"
@@ -65,19 +64,6 @@ type Options struct {
 	// negative value restores immediate retries. Delays cap at 100× the
 	// base.
 	RetryBackoff time.Duration
-	// Shard, when non-zero, restricts this run to its contiguous i/N slice
-	// of the enumeration (Shard.Bounds over the full design list). The
-	// checkpoint still covers the whole space — designs outside the slice
-	// stay pending — so any set of shard checkpoints over the same space
-	// can be folded with MergeCheckpoints into the single-process result.
-	// The space hash is of the FULL space, so shards of the same sweep
-	// agree on it and mismatched shards are rejected on resume and merge.
-	//
-	// Deprecated: set Plan.Shard instead. Plan is the single description of
-	// what a sweep evaluates; this field remains honoured for one release
-	// (a non-zero Plan.Shard wins) and will then be removed. See the
-	// migration table in DESIGN.md.
-	Shard Shard
 	// Plan describes WHAT the sweep evaluates: the exploration mode
 	// (exhaustive or adaptive), the shard slice, and the adaptive knobs.
 	// The zero value is a full-space exhaustive sweep, so existing callers
@@ -111,7 +97,8 @@ func (o Options) withDefaults() Options {
 type Report struct {
 	// Evaluated is the number of designs evaluated successfully, including
 	// designs restored from a checkpoint and designs that took the outcome
-	// of an already-done twin (explorer.Inputs.Twins) without a simulation.
+	// of a twin (explorer.Inputs.Twins) without a simulation: one already
+	// done, or one evaluated in the same batch.
 	Evaluated int
 	// Restored is how many of Evaluated were restored from the checkpoint
 	// rather than re-evaluated in this run.
@@ -199,16 +186,17 @@ type WorkerProgress struct {
 // deaths: an interrupted sweep resumed with Options.Checkpoint.Resume converges to the
 // same optimum and frontier as an uninterrupted run.
 //
-// With Options.Shard set, the run evaluates only its contiguous i/N slice
-// of the enumeration; per-shard checkpoints over the same space fold into
-// the single-process result with MergeCheckpoints. An empty shard slice
+// With Options.Plan.Shard set, the run evaluates only its contiguous i/N
+// slice of the work-list; per-shard checkpoints over the same space fold
+// into the single-process result with MergeCheckpoints. An empty shard slice
 // (more shards than designs) completes immediately with nothing evaluated.
 //
 // Each distinct year is simulated once: the first pass records a design
 // whose twin (explorer.Inputs.Twins) is already done as done, without
-// evaluating or folding it — the twin's fold already holds its outcome. The
-// Inputs' EvalHook therefore does not run for it, while Report.Evaluated
-// still counts it.
+// evaluating or folding it — the twin's fold already holds its outcome — and
+// each batch runs through explorer.Inputs.EvaluateAll, which simulates the
+// twins within the batch once. The Inputs' EvalHook therefore does not run
+// for such a design, while Report.Evaluated still counts it.
 //
 // Failure semantics match explorer.SearchContext: a failing or panicking
 // design is excluded from the optimum (after Options.Retries retry passes)
@@ -230,20 +218,14 @@ func Run(ctx context.Context, in *explorer.Inputs, space explorer.Space, strateg
 	return job.run(ctx, in, opts)
 }
 
-// resolve applies Options defaults and folds the deprecated Shard field into
-// the Plan, validating the result. Both Plan.Shard and Shard end up carrying
-// the effective slice, so internal code reads either consistently.
+// resolve applies Options defaults and validates the Plan.
 func (o Options) resolve() (Options, error) {
 	o = o.withDefaults()
-	if o.Plan.Shard.IsZero() {
-		o.Plan.Shard = o.Shard
-	}
 	plan, err := o.Plan.withDefaults()
 	if err != nil {
 		return Options{}, err
 	}
 	o.Plan = plan
-	o.Shard = plan.Shard
 	return o, nil
 }
 
@@ -316,7 +298,7 @@ func (j *Job) run(ctx context.Context, in *explorer.Inputs, opts Options) (Resul
 		status:   make([]byte, len(j.Designs)),
 		failErrs: make(map[int]error),
 	}
-	r.lo, r.hi = opts.Shard.Bounds(len(j.Designs))
+	r.lo, r.hi = opts.Plan.Shard.Bounds(len(j.Designs))
 	for i := range r.status {
 		r.status[i] = statusPending
 	}
@@ -417,11 +399,12 @@ type runner struct {
 
 	// evals are the per-worker evaluators, created lazily on the first batch
 	// and reused across batches and retry passes so scratch buffers and the
-	// renewable-supply memo stay warm for the whole run. outcomes and errs
-	// are the batch result buffers, reused for the same reason.
-	evals    []*explorer.Evaluator
-	outcomes []explorer.Outcome
-	errs     []error
+	// renewable-supply memo stay warm for the whole run. batchDesigns,
+	// outcomes and errs are the batch buffers, reused for the same reason.
+	evals        []*explorer.Evaluator
+	batchDesigns []explorer.Design
+	outcomes     []explorer.Outcome
+	errs         []error
 }
 
 // restore loads prior progress from the checkpoint file, if resuming.
@@ -448,9 +431,9 @@ func (r *runner) restore() (bool, error) {
 	// shard, or adopted whole by an unsharded run (the lost-shard recovery
 	// path). Resuming it under a different slice would quietly orphan the
 	// designs between the two slices.
-	if !r.opts.Shard.IsZero() && !ckShard.IsZero() && ckShard != r.opts.Shard {
+	if shard := r.opts.Plan.Shard; !shard.IsZero() && !ckShard.IsZero() && ckShard != shard {
 		return false, fmt.Errorf("%w: checkpoint was written by shard %s, this run is shard %s",
-			ErrCheckpointMismatch, ckShard, r.opts.Shard)
+			ErrCheckpointMismatch, ckShard, shard)
 	}
 	copy(r.status, status)
 	r.retried = ck.Retried
@@ -508,7 +491,7 @@ func (r *runner) pass(ctx context.Context, idxs []int, retry, final bool) error 
 		// runs.
 		for k, i := range batch {
 			switch {
-			case errs[k] == errSkipped:
+			case errors.Is(errs[k], explorer.ErrSkipped):
 				// Cancelled before this design was evaluated: stays pending.
 			case errs[k] != nil:
 				r.failErrs[i] = errs[k]
@@ -570,33 +553,24 @@ func (r *runner) retryBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// errSkipped marks a design a cancelled batch never got to evaluate. It is
-// internal to the batch protocol and never escapes pass.
-var errSkipped = fmt.Errorf("sweep: skipped by cancellation")
-
-// evalBatch evaluates one batch of designs in parallel, bounded by
-// GOMAXPROCS workers, and returns per-design outcomes and errors aligned
-// with the batch (the slices are the runner's reusable buffers, valid until
-// the next call). Each worker evaluates through its own persistent
-// explorer.Evaluator: designs arrive in enumeration order, so the
-// evaluator's memoized renewable supply usually survives from one design to
-// the next and the scratch buffers never reallocate. Workers check ctx
-// before each evaluation so cancellation stops within one design's latency.
+// evalBatch gathers one batch's designs and evaluates them through
+// explorer's pool (Inputs.EvaluateAll), bounded by GOMAXPROCS workers, and
+// returns per-design outcomes and errors aligned with the batch (the slices
+// are the runner's reusable buffers, valid until the next call). Each worker
+// evaluates through its own persistent explorer.Evaluator, so the memoized
+// renewable supply and the scratch buffers stay warm across batches and
+// retry passes.
 func (r *runner) evalBatch(ctx context.Context, batch []int) ([]explorer.Outcome, []error) {
 	if cap(r.outcomes) < len(batch) {
+		r.batchDesigns = make([]explorer.Design, len(batch))
 		r.outcomes = make([]explorer.Outcome, len(batch))
 		r.errs = make([]error, len(batch))
 	}
-	outcomes := r.outcomes[:len(batch)]
-	errs := r.errs[:len(batch)]
-	for k := range outcomes {
-		outcomes[k] = explorer.Outcome{}
-		errs[k] = nil
+	designs, outcomes, errs := r.batchDesigns[:len(batch)], r.outcomes[:len(batch)], r.errs[:len(batch)]
+	for k, i := range batch {
+		designs[k] = r.designs[i]
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(batch) {
-		workers = len(batch)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(batch))
 	for len(r.evals) < workers {
 		ev := r.in.NewEvaluator()
 		// The fold drops SoC traces anyway (see fold); discarding them at
@@ -604,39 +578,7 @@ func (r *runner) evalBatch(ctx context.Context, batch []int) ([]explorer.Outcome
 		ev.DiscardSoCTrace = true
 		r.evals = append(r.evals, ev)
 	}
-	if workers == 1 {
-		// Single-CPU (or single-design) batches run inline: the goroutine
-		// and channel round-trips would only add overhead.
-		ev := r.evals[0]
-		for k := range batch {
-			if ctx.Err() != nil {
-				errs[k] = errSkipped
-				continue
-			}
-			outcomes[k], errs[k] = ev.EvaluateSafe(r.designs[batch[k]])
-		}
-		return outcomes, errs
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(ev *explorer.Evaluator) {
-			defer wg.Done()
-			for k := range next {
-				if ctx.Err() != nil {
-					errs[k] = errSkipped
-					continue
-				}
-				outcomes[k], errs[k] = ev.EvaluateSafe(r.designs[batch[k]])
-			}
-		}(r.evals[w])
-	}
-	for k := range batch {
-		next <- k
-	}
-	close(next)
-	wg.Wait()
+	r.in.EvaluateAll(ctx, r.evals[:workers], designs, outcomes, errs)
 	return outcomes, errs
 }
 
@@ -667,20 +609,11 @@ func (r *runner) reuseTwins(batch []int) []int {
 // bounded by the frontier, not the grid.
 func (r *runner) fold(o explorer.Outcome) {
 	o.BatterySoC = timeseries.Series{}
-	if !r.haveBest || betterOutcome(o, r.best) {
+	if !r.haveBest || explorer.Better(o, r.best) {
 		r.best = o
 		r.haveBest = true
 	}
 	r.frontier.Add(o)
-}
-
-// betterOutcome mirrors explorer's optimum ordering: minimum total carbon,
-// ties toward higher coverage.
-func betterOutcome(a, b explorer.Outcome) bool {
-	if a.Total() != b.Total() { //carbonlint:allow floatcmp exact-bits tie-break mirrors explorer.better so resumed and merged sweeps agree
-		return a.Total() < b.Total()
-	}
-	return a.CoveragePct > b.CoveragePct
 }
 
 // indicesWithStatus lists in-shard designs currently in the given state, in
@@ -707,7 +640,7 @@ func (r *runner) checkpoint() error {
 		Site:      r.in.Site.ID,
 		Strategy:  int(r.strategy),
 		Designs:   len(r.designs),
-		Shard:     r.opts.Shard.String(),
+		Shard:     r.opts.Plan.Shard.String(),
 		Status:    encodeStatusRLE(r.status),
 		Retried:   r.retried,
 		Recovered: r.recovered,
