@@ -91,7 +91,9 @@ type Options struct {
 	// slowed or faulty worker is an InputsFor returning hooked inputs.
 	// Every worker's inputs must describe the same sweep (same site,
 	// series, and hence space hash) or lease checkpoints will be rejected
-	// as mismatched.
+	// as mismatched. A worker whose inputs are not the shared Inputs takes
+	// no part in the run's memo of simulated years (see Run): it simulates
+	// every design it evaluates, as its hooks expect.
 	InputsFor func(worker int) *explorer.Inputs
 }
 
@@ -151,6 +153,14 @@ func workerInputs(in *explorer.Inputs, opts Options, w int) *explorer.Inputs {
 // through atomic lease files so independently started processes share the
 // sweep, dead workers' leases are stolen after their heartbeat expires,
 // and the thief resumes the per-lease checkpoint instead of re-evaluating.
+//
+// All leases of one Run share the job's memo of simulated years (on every
+// transport, and across the rounds of an adaptive plan), so on a site with a
+// shape that never generates a lease fills a twin whose representative
+// another lease already simulated from the memo, at its own place in the
+// lease's fold: every lease checkpoint keeps its bytes. Such a design counts
+// as evaluated but does not run the Inputs' EvalHook. Nothing is kept across
+// Run calls or processes.
 //
 // Failure semantics mirror sweep.Run: failed designs are retried, then
 // excluded and reported; only if every design fails does Run return a

@@ -39,6 +39,14 @@
 //     checkpoints and builds the merged checkpoint the Result is restored
 //     from, exactly as in lease-directory mode.
 //
+// The workers of one Run share more than the lease board: every lease runs
+// the same sweep.Job, whose memo of simulated years lets a lease fill a
+// twin design (explorer.Inputs.Twins) whose representative another lease
+// already simulated, instead of simulating that year again. The memo
+// changes only what is simulated, never what is folded, so it needs no
+// coordination of its own; it lives as long as the Run and is not shared
+// across processes.
+//
 // Determinism is inherited, not re-proven: evaluation is deterministic,
 // per-lease checkpoints only ever move designs forward, and both merge
 // paths fold in ascending slice order — so a coordinated sweep (even one

@@ -526,12 +526,17 @@ func (s *Service) storeUpload(meta *stateFile, b *board, plans []sweep.ShardPlan
 		// upload for this lease.
 		_ = os.Remove(staged)
 	}()
+	// Progress only counts the status runs; the merge below decodes them into
+	// one byte per design, so compare the count with the registered one first.
 	p, err := sweep.Progress(staged)
 	if err != nil {
 		return fmt.Errorf("coordinator: lease %d upload is not a valid checkpoint: %w", li, err)
 	}
 	if p.SpaceHash != meta.SpaceHash {
 		return fmt.Errorf("%w: lease %d upload has space hash %s, sweep has %s", ErrSweepMismatch, li, p.SpaceHash, meta.SpaceHash)
+	}
+	if p.Designs != meta.Designs {
+		return fmt.Errorf("%w: lease %d upload covers %d designs, sweep has %d", sweep.ErrCheckpointMismatch, li, p.Designs, meta.Designs)
 	}
 	want := plans[li].Shard
 	if !p.Shard.IsZero() && p.Shard != want {

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -441,5 +443,39 @@ func TestServiceRejectsForeignUpload(t *testing.T) {
 	// Out-of-range lease indices are mismatches, not panics.
 	if err := svc.Heartbeat(HeartbeatRequest{Owner: "w", Lease: 99}); !errors.Is(err, ErrSweepMismatch) {
 		t.Fatalf("out-of-range lease: want ErrSweepMismatch, got %v", err)
+	}
+}
+
+// TestServiceRejectsOvershootingStatus: an upload whose status describes
+// more designs than it declares — or declares a count other than the
+// registered one — is rejected with sweep.ErrCheckpointMismatch before any
+// status is decoded, so neither allocates more than a few kilobytes.
+func TestServiceRejectsOvershootingStatus(t *testing.T) {
+	in := testInputs(t)
+	space := testSpace(in)
+	svc := newTestService(t, t.TempDir())
+	reg := testRegistration(t, in, space, 4)
+	if _, err := svc.Register(reg); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if c, err := svc.Claim(ClaimRequest{Owner: "w"}); err != nil || c.Lease != 0 {
+		t.Fatalf("claim: %+v, %v", c, err)
+	}
+	overshoot := `{"version":2,"space_hash":"` + reg.SpaceHash + `","site":"NC","strategy":3,"designs":1470,"status":"268435455D"}`
+	if len(overshoot) != 107 {
+		t.Fatalf("fixture is %d bytes, want 107", len(overshoot))
+	}
+	oversized := strings.Replace(overshoot, `"designs":1470`, `"designs":268435455`, 1)
+	for _, payload := range []string{overshoot, oversized} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := svc.Heartbeat(HeartbeatRequest{Owner: "w", Lease: 0, Checkpoint: []byte(payload)})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, sweep.ErrCheckpointMismatch) {
+			t.Fatalf("upload %s: want sweep.ErrCheckpointMismatch, got %v", payload, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Fatalf("rejecting upload %s allocated %d bytes", payload, n)
+		}
 	}
 }

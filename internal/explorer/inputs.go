@@ -34,9 +34,10 @@ type Inputs struct {
 	// search sweep. A non-nil error (or a panic) fails that design alone —
 	// the sweep's panic containment applies. It does not run for a design
 	// whose twin (see Twins) is already done, or evaluated successfully in
-	// the same EvaluateAll slice (a search, a sweep batch): that design takes
-	// its twin's outcome without being simulated, though reports still count
-	// it as evaluated. It exists for fault injection in chaos tests and for
+	// the same EvaluateAll slice (a search, a sweep batch), or whose year a
+	// sweep's per-run memo holds (another lease of a coordinated sweep, an
+	// earlier adaptive round): that design takes its twin's outcome without
+	// being simulated, though reports still count it as evaluated. It exists for fault injection in chaos tests and for
 	// canary checks in long-running services; leave it nil in normal
 	// operation.
 	EvalHook func(Design) error

@@ -18,28 +18,44 @@ import (
 // both shapes generate, so such sites pay nothing. Searches and sweeps use
 // it to simulate each distinct year once.
 func (in *Inputs) Twins(designs []Design) []int {
-	deadWind, deadSolar := allZero(in.WindShape), allZero(in.SolarShape)
-	if !deadWind && !deadSolar {
+	key := in.TwinKey()
+	if key == nil {
 		return nil
 	}
 	twins := make([]int, len(designs))
 	first := make(map[Design]int, len(designs))
 	for i, d := range designs {
-		key := d
-		if deadWind && zeroable(key.WindMW) {
-			key.WindMW = 0
-		}
-		if deadSolar && zeroable(key.SolarMW) {
-			key.SolarMW = 0
-		}
-		j, ok := first[key]
+		k := key(d)
+		j, ok := first[k]
 		if !ok {
 			j = i
-			first[key] = i
+			first[k] = i
 		}
 		twins[i] = j
 	}
 	return twins
+}
+
+// TwinKey returns the function Twins groups designs by: it maps a design to
+// itself with every valid investment in a shape that never generates zeroed,
+// so two designs simulate the same year exactly when their keys are equal.
+// TwinKey returns nil when both shapes generate, where every design is its
+// own key. It scans both shapes once; the returned function is cheap and
+// safe for concurrent use.
+func (in *Inputs) TwinKey() func(Design) Design {
+	deadWind, deadSolar := allZero(in.WindShape), allZero(in.SolarShape)
+	if !deadWind && !deadSolar {
+		return nil
+	}
+	return func(d Design) Design {
+		if deadWind && zeroable(d.WindMW) {
+			d.WindMW = 0
+		}
+		if deadSolar && zeroable(d.SolarMW) {
+			d.SolarMW = 0
+		}
+		return d
+	}
 }
 
 // allZero reports whether every sample of s is zero: any investment in such

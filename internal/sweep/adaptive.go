@@ -265,6 +265,9 @@ func RunAdaptiveRounds(ctx context.Context, in *explorer.Inputs, space explorer.
 
 	var seedBest *explorer.Outcome
 	var seedFrontier []explorer.Outcome
+	// One memo for every round: a round's lattice points are new designs,
+	// but many of them simulate a year an earlier round already did.
+	memo := newYearMemo(in)
 	for {
 		worklist := g.RoundPoints(cells, round)
 		if len(worklist) == 0 {
@@ -276,6 +279,7 @@ func RunAdaptiveRounds(ctx context.Context, in *explorer.Inputs, space explorer.
 			Designs:  worklist,
 			hash:     adaptiveRoundHash(base, round, cells, worklist),
 			twins:    in.Twins(worklist),
+			memo:     memo,
 			meta: &adaptiveMeta{
 				baseHash:     base,
 				round:        round,
@@ -478,17 +482,12 @@ func writeConvergedCheckpoint(path string, in *explorer.Inputs, job *Job, res Re
 // converged final checkpoint, so re-running a finished refinement returns
 // the answer without evaluating anything.
 func resultFromConverged(ck *checkpointFile, strategy explorer.Strategy, plan Plan) (Result, error) {
-	status, err := ck.statusBytes()
+	runs, n, err := ck.statusRuns()
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Strategy: strategy, Resumed: true}
-	roundEvals := 0
-	for _, s := range status {
-		if s == statusDone {
-			roundEvals++
-		}
-	}
+	roundEvals, _, _, _ := runCounts(runs, 0, n)
 	res.Report.Evaluated = roundEvals
 	res.Report.Restored = roundEvals
 	res.Report.Retried = ck.Retried

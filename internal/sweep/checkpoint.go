@@ -130,18 +130,80 @@ type savedPrior struct {
 	Failures []savedFailure `json:"failures,omitempty"`
 }
 
-// statusBytes decodes the per-design status string according to the file's
-// schema version, validating every rune.
-func (c *checkpointFile) statusBytes() ([]byte, error) {
-	if c.Version == checkpointVersionV1 {
-		for _, s := range []byte(c.Status) {
-			if !validStatus(s) {
-				return nil, fmt.Errorf("%w: unknown design status %q", ErrCheckpointMismatch, s)
-			}
-		}
-		return []byte(c.Status), nil
+// statusRun is a run of n consecutive designs in status s.
+type statusRun struct {
+	s byte
+	n int
+}
+
+// statusRuns validates the per-design status string according to the file's
+// schema version and returns it as runs, with the number of designs they
+// cover. A version-1 status holds one rune per design. A version-2 or -3
+// status must cover exactly the file's declared design count, and parsing
+// stops at the first run that overshoots it. Either way the runs take memory
+// in proportion to the file, never to the count it declares.
+func (c *checkpointFile) statusRuns() ([]statusRun, int, error) {
+	if c.Version != checkpointVersionV1 {
+		runs, err := parseStatusRLE(c.Status, c.Designs)
+		return runs, c.Designs, err
 	}
-	return decodeStatusRLE(c.Status)
+	var runs []statusRun
+	for i := 0; i < len(c.Status); i++ {
+		s := c.Status[i]
+		if !validStatus(s) {
+			return nil, 0, fmt.Errorf("%w: unknown design status %q", ErrCheckpointMismatch, s)
+		}
+		if k := len(runs) - 1; k >= 0 && runs[k].s == s {
+			runs[k].n++
+		} else {
+			runs = append(runs, statusRun{s: s, n: 1})
+		}
+	}
+	return runs, len(c.Status), nil
+}
+
+// statusBytes decodes the per-design status string into one byte per
+// design, validated as statusRuns does.
+func (c *checkpointFile) statusBytes() ([]byte, error) {
+	runs, n, err := c.statusRuns()
+	if err != nil {
+		return nil, err
+	}
+	return expandRuns(runs, n), nil
+}
+
+// expandRuns writes runs covering n designs out as one byte per design.
+func expandRuns(runs []statusRun, n int) []byte {
+	out := make([]byte, 0, n)
+	for _, r := range runs {
+		for k := 0; k < r.n; k++ {
+			out = append(out, r.s)
+		}
+	}
+	return out
+}
+
+// runCounts tallies the statuses of runs inside the design slice [lo, hi).
+func runCounts(runs []statusRun, lo, hi int) (done, pending, failedOnce, failedPerm int) {
+	start := 0
+	for _, r := range runs {
+		k := min(start+r.n, hi) - max(start, lo)
+		start += r.n
+		if k <= 0 {
+			continue
+		}
+		switch r.s {
+		case statusDone:
+			done += k
+		case statusPending:
+			pending += k
+		case statusFailedOnce:
+			failedOnce += k
+		case statusFailedPerm:
+			failedPerm += k
+		}
+	}
+	return
 }
 
 // shard parses the checkpoint's shard label ("" means unsharded).
@@ -181,11 +243,16 @@ func encodeStatusRLE(status []byte) string {
 	return b.String()
 }
 
-// decodeStatusRLE inverts encodeStatusRLE, rejecting malformed input:
-// missing counts, zero/negative runs, unknown status runes, or an encoding
-// so large it cannot describe a real sweep.
-func decodeStatusRLE(enc string) ([]byte, error) {
-	var out []byte
+// parseStatusRLE parses an encodeStatusRLE string that must describe exactly
+// n designs, rejecting malformed input: missing counts, zero/negative runs,
+// unknown status runes, a run that overshoots n (parsing stops there), a
+// total short of n, or an n so large it cannot describe a real sweep.
+func parseStatusRLE(enc string, n int) ([]statusRun, error) {
+	if n < 0 || n > maxStatusLen {
+		return nil, fmt.Errorf("%w: %d designs is outside [0, %d]", ErrCheckpointMismatch, n, maxStatusLen)
+	}
+	var runs []statusRun
+	total := 0
 	for i := 0; i < len(enc); {
 		j := i
 		for j < len(enc) && enc[j] >= '0' && enc[j] <= '9' {
@@ -194,27 +261,29 @@ func decodeStatusRLE(enc string) ([]byte, error) {
 		if j == i || j == len(enc) {
 			return nil, fmt.Errorf("%w: malformed run-length status near byte %d", ErrCheckpointMismatch, i)
 		}
-		n, err := strconv.Atoi(enc[i:j])
-		if err != nil || n <= 0 {
+		k, err := strconv.Atoi(enc[i:j])
+		if err != nil || k <= 0 {
 			return nil, fmt.Errorf("%w: bad run length %q in status", ErrCheckpointMismatch, enc[i:j])
 		}
 		r := enc[j]
 		if !validStatus(r) {
 			return nil, fmt.Errorf("%w: unknown design status %q", ErrCheckpointMismatch, r)
 		}
-		if len(out)+n > maxStatusLen {
-			return nil, fmt.Errorf("%w: status describes more than %d designs", ErrCheckpointMismatch, maxStatusLen)
+		if k > n-total {
+			return nil, fmt.Errorf("%w: status describes more than its %d designs", ErrCheckpointMismatch, n)
 		}
-		for k := 0; k < n; k++ {
-			out = append(out, r)
-		}
+		runs = append(runs, statusRun{s: r, n: k})
+		total += k
 		i = j + 1
 	}
-	return out, nil
+	if total != n {
+		return nil, fmt.Errorf("%w: status describes %d of its %d designs", ErrCheckpointMismatch, total, n)
+	}
+	return runs, nil
 }
 
-// maxStatusLen bounds how many designs a decoded status string may
-// describe, so a corrupt run length cannot balloon memory.
+// maxStatusLen bounds how many designs a checkpoint may declare, so a
+// corrupt count cannot balloon the memory of a decoded status.
 const maxStatusLen = 1 << 28
 
 // savedOutcome is explorer.Outcome minus the hourly battery state-of-charge
@@ -391,15 +460,16 @@ func (c *checkpointFile) matches(hash string, nDesigns int) ([]byte, error) {
 	if c.SpaceHash != hash {
 		return nil, fmt.Errorf("%w: space hash %s vs %s", ErrCheckpointMismatch, c.SpaceHash, hash)
 	}
+	// Compared before decoding: the status decodes to the declared count.
+	if c.Version != checkpointVersionV1 && c.Designs != nDesigns {
+		return nil, fmt.Errorf("%w: checkpoint records %d designs vs %d enumerated", ErrCheckpointMismatch, c.Designs, nDesigns)
+	}
 	status, err := c.statusBytes()
 	if err != nil {
 		return nil, err
 	}
 	if len(status) != nDesigns {
 		return nil, fmt.Errorf("%w: %d design statuses vs %d designs", ErrCheckpointMismatch, len(status), nDesigns)
-	}
-	if c.Version != checkpointVersionV1 && c.Designs != nDesigns {
-		return nil, fmt.Errorf("%w: checkpoint records %d designs vs %d enumerated", ErrCheckpointMismatch, c.Designs, nDesigns)
 	}
 	return status, nil
 }

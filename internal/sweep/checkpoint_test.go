@@ -7,11 +7,21 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"carbonexplorer/internal/explorer"
 )
+
+// decodeStatusRLE inverts encodeStatusRLE for a status of exactly n designs.
+func decodeStatusRLE(enc string, n int) ([]byte, error) {
+	runs, err := parseStatusRLE(enc, n)
+	if err != nil {
+		return nil, err
+	}
+	return expandRuns(runs, n), nil
+}
 
 // TestStatusRLERoundTrip: encode/decode are inverses over representative
 // status shapes.
@@ -28,7 +38,7 @@ func TestStatusRLERoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		enc := encodeStatusRLE([]byte(c))
-		dec, err := decodeStatusRLE(enc)
+		dec, err := decodeStatusRLE(enc, len(c))
 		if err != nil {
 			t.Fatalf("decode(%q): %v", enc, err)
 		}
@@ -60,7 +70,7 @@ func TestStatusRLEMultiMillionDesigns(t *testing.T) {
 	if len(enc) > 100 {
 		t.Fatalf("RLE of a %d-design sweep took %d bytes; compaction failed", n, len(enc))
 	}
-	dec, err := decodeStatusRLE(enc)
+	dec, err := decodeStatusRLE(enc, n)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -74,7 +84,7 @@ func TestStatusRLEMultiMillionDesigns(t *testing.T) {
 	for i := range alt {
 		alt[i] = runes[i%len(runes)]
 	}
-	dec, err = decodeStatusRLE(encodeStatusRLE(alt))
+	dec, err = decodeStatusRLE(encodeStatusRLE(alt), len(alt))
 	if err != nil {
 		t.Fatalf("decode alternating: %v", err)
 	}
@@ -96,7 +106,7 @@ func TestStatusRLERejectsMalformed(t *testing.T) {
 		"999999999999999999999D", // overflows int
 		"999999999D",             // exceeds maxStatusLen
 	} {
-		if _, err := decodeStatusRLE(enc); err == nil {
+		if _, err := decodeStatusRLE(enc, maxStatusLen); err == nil {
 			t.Fatalf("decodeStatusRLE(%q) accepted", enc)
 		}
 	}
@@ -215,5 +225,80 @@ func TestCheckpointV1GarbageStatusRejected(t *testing.T) {
 		Options{Checkpoint: CheckpointOptions{Path: ckpt, Resume: true}})
 	if !errors.Is(err, ErrCheckpointMismatch) {
 		t.Fatalf("garbage v1 status: want ErrCheckpointMismatch, got %v", err)
+	}
+}
+
+// overshootingCheckpoint is a 107-byte version-2 checkpoint that declares
+// 1,470 designs while its status claims 268,435,455.
+const overshootingCheckpoint = `{"version":2,"space_hash":"0123456789abcdef","site":"NC","strategy":3,"designs":1470,"status":"268435455D"}`
+
+// allocatedBytes reports how many bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCheckpointStatusMatchesDeclaredDesigns: a version-2 status must
+// describe exactly the declared designs. ReadCheckpoint, Progress and
+// ProgressWithin reject one that overshoots them at its first run, allocating
+// next to nothing, and one that falls short; a file whose status and count
+// agree on a huge space is counted without materializing its status, and a
+// resume compares the count with the enumeration before decoding.
+func TestCheckpointStatusMatchesDeclaredDesigns(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	if len(overshootingCheckpoint) != 107 {
+		t.Fatalf("fixture is %d bytes, want 107", len(overshootingCheckpoint))
+	}
+	short := strings.Replace(overshootingCheckpoint, "268435455D", "1000D", 1)
+	for _, path := range []string{write("overshoot.json", overshootingCheckpoint), write("short.json", short)} {
+		for name, read := range map[string]func() error{
+			"ReadCheckpoint": func() error { _, err := ReadCheckpoint(path); return err },
+			"Progress":       func() error { _, err := Progress(path); return err },
+			"ProgressWithin": func() error { _, err := ProgressWithin(path, Shard{}); return err },
+		} {
+			var err error
+			if n := allocatedBytes(func() { err = read() }); n >= 1<<20 {
+				t.Fatalf("%s of %s allocated %d bytes", name, filepath.Base(path), n)
+			}
+			if !errors.Is(err, ErrCheckpointMismatch) {
+				t.Fatalf("%s of %s: want ErrCheckpointMismatch, got %v", name, filepath.Base(path), err)
+			}
+		}
+	}
+
+	huge := write("huge.json", strings.Replace(overshootingCheckpoint, `"designs":1470`, `"designs":268435455`, 1))
+	var ck *Checkpoint
+	var err error
+	if n := allocatedBytes(func() { ck, err = ReadCheckpoint(huge) }); err != nil || n >= 1<<20 {
+		t.Fatalf("ReadCheckpoint of a consistent 268,435,455-design file: %v after %d bytes", err, n)
+	}
+	if ck.Designs != 268435455 || ck.Done != ck.Designs {
+		t.Fatalf("huge checkpoint read as %d designs, %d done", ck.Designs, ck.Done)
+	}
+
+	in := testInputs(t)
+	space := testSpace(in)
+	designs := space.Enumerate(explorer.RenewablesBatteryCAS, in.AvgDemandMW())
+	foreign := strings.Replace(strings.Replace(overshootingCheckpoint, `"designs":1470`, `"designs":268435455`, 1),
+		"0123456789abcdef", sweepHash(in, explorer.RenewablesBatteryCAS, designs), 1)
+	path := write("resume.json", foreign)
+	if n := allocatedBytes(func() {
+		_, err = Run(context.Background(), in, space, explorer.RenewablesBatteryCAS,
+			Options{Checkpoint: CheckpointOptions{Path: path, Resume: true}})
+	}); n >= 1<<20 {
+		t.Fatalf("resuming a 268,435,455-design file over %d designs allocated %d bytes", len(designs), n)
+	}
+	if !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("resume: want ErrCheckpointMismatch, got %v", err)
 	}
 }

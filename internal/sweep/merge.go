@@ -15,8 +15,10 @@ type ShardProgress struct {
 	// means the file covers the whole space (an unsharded or merged
 	// checkpoint).
 	Shard Shard
-	// Start and End delimit the shard's design-index slice ([0, Total) for
-	// unsharded files).
+	// Designs is the number of designs in the full space the file covers.
+	Designs int
+	// Start and End delimit the shard's design-index slice ([0, Designs)
+	// for unsharded files).
 	Start, End int
 	// Done, Pending, FailedOnce, and FailedPerm count the design statuses
 	// inside [Start, End).
@@ -70,7 +72,7 @@ func Progress(path string) (ShardProgress, error) {
 	if err != nil {
 		return ShardProgress{}, err
 	}
-	status, err := ck.statusBytes()
+	runs, n, err := ck.statusRuns()
 	if err != nil {
 		return ShardProgress{}, fmt.Errorf("%s: %w", path, err)
 	}
@@ -78,9 +80,9 @@ func Progress(path string) (ShardProgress, error) {
 	if err != nil {
 		return ShardProgress{}, fmt.Errorf("%s: %w", path, err)
 	}
-	lo, hi := shard.Bounds(len(status))
-	p := ShardProgress{Path: path, Shard: shard, Start: lo, End: hi, SpaceHash: ck.SpaceHash}
-	p.Done, p.Pending, p.FailedOnce, p.FailedPerm = statusCounts(status, lo, hi)
+	lo, hi := shard.Bounds(n)
+	p := ShardProgress{Path: path, Shard: shard, Designs: n, Start: lo, End: hi, SpaceHash: ck.SpaceHash}
+	p.Done, p.Pending, p.FailedOnce, p.FailedPerm = runCounts(runs, lo, hi)
 	return p, nil
 }
 
@@ -94,16 +96,16 @@ func ProgressWithin(path string, sh Shard) (ShardProgress, error) {
 	if err != nil {
 		return ShardProgress{}, err
 	}
-	status, err := ck.statusBytes()
+	runs, n, err := ck.statusRuns()
 	if err != nil {
 		return ShardProgress{}, fmt.Errorf("%s: %w", path, err)
 	}
 	if err := sh.validate(); !sh.IsZero() && err != nil {
 		return ShardProgress{}, err
 	}
-	lo, hi := sh.Bounds(len(status))
-	p := ShardProgress{Path: path, Shard: sh, Start: lo, End: hi, SpaceHash: ck.SpaceHash}
-	p.Done, p.Pending, p.FailedOnce, p.FailedPerm = statusCounts(status, lo, hi)
+	lo, hi := sh.Bounds(n)
+	p := ShardProgress{Path: path, Shard: sh, Designs: n, Start: lo, End: hi, SpaceHash: ck.SpaceHash}
+	p.Done, p.Pending, p.FailedOnce, p.FailedPerm = runCounts(runs, lo, hi)
 	return p, nil
 }
 
@@ -219,7 +221,7 @@ func MergeCheckpoints(dst string, srcs ...string) (MergeReport, error) {
 		retried += in.ck.Retried
 		recovered += in.ck.Recovered
 
-		p := ShardProgress{Path: in.path, Shard: in.shard, Start: in.start, End: in.end, SpaceHash: in.ck.SpaceHash}
+		p := ShardProgress{Path: in.path, Shard: in.shard, Designs: len(in.status), Start: in.start, End: in.end, SpaceHash: in.ck.SpaceHash}
 		p.Done, p.Pending, p.FailedOnce, p.FailedPerm = statusCounts(in.status, in.start, in.end)
 		rep.Inputs = append(rep.Inputs, p)
 	}

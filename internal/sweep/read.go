@@ -66,7 +66,7 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	status, err := ck.statusBytes()
+	runs, n, err := ck.statusRuns()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -79,13 +79,13 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 		SpaceHash: ck.SpaceHash,
 		Site:      ck.Site,
 		Strategy:  explorer.Strategy(ck.Strategy),
-		Designs:   len(status),
+		Designs:   n,
 		Shard:     shard,
 		Mode:      ck.Mode,
 		Round:     ck.Round,
 		Converged: ck.Converged,
 	}
-	out.Done, out.Pending, out.FailedOnce, out.FailedPerm = statusCounts(status, 0, len(status))
+	out.Done, out.Pending, out.FailedOnce, out.FailedPerm = runCounts(runs, 0, n)
 
 	// Fold the stored best into the frontier set: the total-carbon optimum
 	// is never dominated in the (operational, embodied) plane — a dominator

@@ -98,7 +98,8 @@ type Report struct {
 	// Evaluated is the number of designs evaluated successfully, including
 	// designs restored from a checkpoint and designs that took the outcome
 	// of a twin (explorer.Inputs.Twins) without a simulation: one already
-	// done, or one evaluated in the same batch.
+	// done, one evaluated in the same batch, or one whose year the run's
+	// memo holds from another lease or an earlier adaptive round.
 	Evaluated int
 	// Restored is how many of Evaluated were restored from the checkpoint
 	// rather than re-evaluated in this run.
@@ -124,7 +125,9 @@ type Report struct {
 	Failures []explorer.DesignError
 	// MaxResident is the peak number of evaluated Outcomes the engine held
 	// in memory at any moment — the bounded-memory witness. It never
-	// exceeds the batch size, no matter how dense the design grid is.
+	// exceeds the batch size, no matter how dense the design grid is. It
+	// counts a batch's outcomes, memo hits included; the run's memo of
+	// simulated years is separate, one outcome per distinct year.
 	MaxResident int
 }
 
@@ -193,10 +196,13 @@ type WorkerProgress struct {
 //
 // Each distinct year is simulated once: the first pass records a design
 // whose twin (explorer.Inputs.Twins) is already done as done, without
-// evaluating or folding it — the twin's fold already holds its outcome — and
-// each batch runs through explorer.Inputs.EvaluateAll, which simulates the
-// twins within the batch once. The Inputs' EvalHook therefore does not run
-// for such a design, while Report.Evaluated still counts it.
+// evaluating or folding it — the twin's fold already holds its outcome —
+// fills a design whose year the run's memo holds (from an earlier adaptive
+// round, or, through Job.Run, from another slice of the same Job) from the
+// memo and folds it in place, and runs the rest of each batch through
+// explorer.Inputs.EvaluateAll, which simulates the twins within the batch
+// once. The Inputs' EvalHook therefore does not run for such a design, while
+// Report.Evaluated still counts it.
 //
 // Failure semantics match explorer.SearchContext: a failing or panicking
 // design is excluded from the optimum (after Options.Retries retry passes)
@@ -234,7 +240,10 @@ func (o Options) resolve() (Options, error) {
 // coordination handshake validates against. NewJob builds one from a Space;
 // the adaptive driver builds one per refinement round. Building the Job once
 // and running it against several option sets (the coordinator runs one slice
-// per lease) guarantees every run agrees on the enumeration.
+// per lease) guarantees every run agrees on the enumeration, and lets the
+// runs share the Job's memo of simulated years: on a site with a shape that
+// never generates, a year one run simulated is not simulated again by any
+// other run of the Job under the same Inputs.
 type Job struct {
 	// Strategy is the investment strategy every design is evaluated under.
 	Strategy explorer.Strategy
@@ -247,6 +256,10 @@ type Job struct {
 	// twins is Inputs.Twins over Designs: nil when every design simulates
 	// a distinct year.
 	twins []int
+	// memo is the run's table of simulated years, shared by every run of
+	// this Job (each lease of a coordinated job) and, for adaptive sweeps,
+	// by every round; nil when twins is.
+	memo *yearMemo
 }
 
 // NewJob enumerates the space under the strategy into a runnable work-list.
@@ -261,6 +274,7 @@ func NewJob(in *explorer.Inputs, space explorer.Space, strategy explorer.Strateg
 		Designs:  designs,
 		hash:     sweepHash(in, strategy, designs),
 		twins:    in.Twins(designs),
+		memo:     newYearMemo(in),
 	}, nil
 }
 
@@ -292,6 +306,7 @@ func (j *Job) run(ctx context.Context, in *explorer.Inputs, opts Options) (Resul
 		strategy: j.Strategy,
 		designs:  j.Designs,
 		twins:    j.twins,
+		memo:     j.memo.serves(in),
 		opts:     opts,
 		hash:     j.hash,
 		meta:     j.meta,
@@ -372,8 +387,11 @@ type runner struct {
 	// twins maps each design to its representative (explorer.Inputs.Twins);
 	// nil when there are none.
 	twins []int
-	opts  Options
-	hash  string
+	// memo is the Job's table of simulated years, or nil when it cannot
+	// serve this run's Inputs.
+	memo *yearMemo
+	opts Options
+	hash string
 	// meta carries the adaptive round context (round number, cells, prior
 	// accounting, cumulative seeds); nil for exhaustive sweeps.
 	meta *adaptiveMeta
@@ -399,12 +417,17 @@ type runner struct {
 
 	// evals are the per-worker evaluators, created lazily on the first batch
 	// and reused across batches and retry passes so scratch buffers and the
-	// renewable-supply memo stay warm for the whole run. batchDesigns,
-	// outcomes and errs are the batch buffers, reused for the same reason.
+	// renewable-supply memo stay warm for the whole run. outcomes and errs
+	// are the batch buffers, aligned with the batch; misses, missDesigns,
+	// missOutcomes and missErrs hold the batch positions the year memo could
+	// not fill and their evaluations. All are reused for the same reason.
 	evals        []*explorer.Evaluator
-	batchDesigns []explorer.Design
 	outcomes     []explorer.Outcome
 	errs         []error
+	misses       []int
+	missDesigns  []explorer.Design
+	missOutcomes []explorer.Outcome
+	missErrs     []error
 }
 
 // restore loads prior progress from the checkpoint file, if resuming.
@@ -482,7 +505,7 @@ func (r *runner) pass(ctx context.Context, idxs []int, retry, final bool) error 
 		if !retry {
 			batch = r.reuseTwins(batch)
 		}
-		outcomes, errs := r.evalBatch(ctx, batch)
+		outcomes, errs := r.evalBatch(ctx, batch, !retry)
 		if len(batch) > r.maxHeld {
 			r.maxHeld = len(batch)
 		}
@@ -553,24 +576,49 @@ func (r *runner) retryBackoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// evalBatch gathers one batch's designs and evaluates them through
-// explorer's pool (Inputs.EvaluateAll), bounded by GOMAXPROCS workers, and
-// returns per-design outcomes and errors aligned with the batch (the slices
-// are the runner's reusable buffers, valid until the next call). Each worker
-// evaluates through its own persistent explorer.Evaluator, so the memoized
-// renewable supply and the scratch buffers stay warm across batches and
-// retry passes.
-func (r *runner) evalBatch(ctx context.Context, batch []int) ([]explorer.Outcome, []error) {
+// evalBatch fills one batch's outcomes and errors, aligned with the batch
+// (the slices are the runner's reusable buffers, valid until the next call).
+// With useMemo — the first pass only; failures are per design, so a retry
+// re-evaluates — a design whose year the memo holds takes that outcome under
+// its own Design. The rest run through explorer's pool (Inputs.EvaluateAll),
+// bounded by GOMAXPROCS workers, each on its own persistent
+// explorer.Evaluator, so the memoized renewable supply and the scratch
+// buffers stay warm across batches and retry passes. Every Job
+// representative that succeeds enters the memo.
+func (r *runner) evalBatch(ctx context.Context, batch []int, useMemo bool) ([]explorer.Outcome, []error) {
 	if cap(r.outcomes) < len(batch) {
-		r.batchDesigns = make([]explorer.Design, len(batch))
 		r.outcomes = make([]explorer.Outcome, len(batch))
 		r.errs = make([]error, len(batch))
+		r.misses = make([]int, len(batch))
+		r.missDesigns = make([]explorer.Design, len(batch))
+		r.missOutcomes = make([]explorer.Outcome, len(batch))
+		r.missErrs = make([]error, len(batch))
 	}
-	designs, outcomes, errs := r.batchDesigns[:len(batch)], r.outcomes[:len(batch)], r.errs[:len(batch)]
+	outcomes, errs := r.outcomes[:len(batch)], r.errs[:len(batch)]
+	misses := r.misses[:0]
 	for k, i := range batch {
-		designs[k] = r.designs[i]
+		if useMemo && r.memo != nil {
+			if o, ok := r.memo.get(r.designs[i]); ok {
+				outcomes[k], errs[k] = o, nil
+				continue
+			}
+		}
+		misses = append(misses, k)
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(batch))
+	n := len(misses)
+	if n == 0 {
+		return outcomes, errs
+	}
+	designs := r.missDesigns[:n]
+	for m, k := range misses {
+		designs[m] = r.designs[batch[k]]
+	}
+	// Without a hit the misses are the batch itself: evaluate in place.
+	missOut, missErrs := outcomes, errs
+	if n < len(batch) {
+		missOut, missErrs = r.missOutcomes[:n], r.missErrs[:n]
+	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	for len(r.evals) < workers {
 		ev := r.in.NewEvaluator()
 		// The fold drops SoC traces anyway (see fold); discarding them at
@@ -578,7 +626,13 @@ func (r *runner) evalBatch(ctx context.Context, batch []int) ([]explorer.Outcome
 		ev.DiscardSoCTrace = true
 		r.evals = append(r.evals, ev)
 	}
-	r.in.EvaluateAll(ctx, r.evals[:workers], designs, outcomes, errs)
+	r.in.EvaluateAll(ctx, r.evals[:workers], designs, missOut, missErrs)
+	for m, k := range misses {
+		outcomes[k], errs[k] = missOut[m], missErrs[m]
+		if i := batch[k]; r.memo != nil && missErrs[m] == nil && r.twins[i] == i {
+			r.memo.put(missOut[m])
+		}
+	}
 	return outcomes, errs
 }
 
