@@ -37,9 +37,9 @@ type Inputs struct {
 	// the same EvaluateAll slice (a search, a sweep batch), or whose year a
 	// sweep's per-run memo holds (another lease of a coordinated sweep, an
 	// earlier adaptive round): that design takes its twin's outcome without
-	// being simulated, though reports still count it as evaluated. It exists for fault injection in chaos tests and for
-	// canary checks in long-running services; leave it nil in normal
-	// operation.
+	// being simulated, though reports still count it as evaluated. It
+	// exists for fault injection in chaos tests and for canary checks in
+	// long-running services; leave it nil in normal operation.
 	EvalHook func(Design) error
 
 	// demandTotalMWh caches Demand.Sum().
