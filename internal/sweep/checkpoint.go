@@ -147,19 +147,26 @@ func (c *checkpointFile) statusRuns() ([]statusRun, int, error) {
 		runs, err := parseStatusRLE(c.Status, c.Designs)
 		return runs, c.Designs, err
 	}
-	var runs []statusRun
-	for i := 0; i < len(c.Status); i++ {
-		s := c.Status[i]
+	status := []byte(c.Status)
+	for _, s := range status {
 		if !validStatus(s) {
 			return nil, 0, fmt.Errorf("%w: unknown design status %q", ErrCheckpointMismatch, s)
 		}
+	}
+	return runsOf(status), len(status), nil
+}
+
+// runsOf returns a status string of one byte per design as runs.
+func runsOf(status []byte) []statusRun {
+	var runs []statusRun
+	for _, s := range status {
 		if k := len(runs) - 1; k >= 0 && runs[k].s == s {
 			runs[k].n++
 		} else {
 			runs = append(runs, statusRun{s: s, n: 1})
 		}
 	}
-	return runs, len(c.Status), nil
+	return runs
 }
 
 // statusBytes decodes the per-design status string into one byte per

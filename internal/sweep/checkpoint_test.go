@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -93,22 +94,38 @@ func TestStatusRLEMultiMillionDesigns(t *testing.T) {
 	}
 }
 
-// TestStatusRLERejectsMalformed: corrupt encodings must fail loudly.
+// TestStatusRLERejectsMalformed: corrupt encodings must fail loudly, each
+// for its own reason. Every case declares the design count its runs would
+// describe, so only the corruption it names can reject it.
 func TestStatusRLERejectsMalformed(t *testing.T) {
-	for _, enc := range []string{
-		"D",                      // rune without count
-		"4",                      // count without rune
-		"4D3",                    // trailing digits
-		"0D",                     // zero-length run
-		"-1D",                    // negative run
-		"4Z",                     // unknown status rune
-		"4D 2P",                  // stray byte
-		"999999999999999999999D", // overflows int
-		"999999999D",             // exceeds maxStatusLen
+	for _, c := range []struct {
+		enc  string
+		n    int
+		want string
+	}{
+		{"D", 1, "malformed run-length"},                                  // rune without count
+		{"4", 4, "malformed run-length"},                                  // count without rune
+		{"4D3", 7, "malformed run-length"},                                // trailing digits
+		{"0D", 0, "bad run length"},                                       // zero-length run
+		{"-1D", 0, "malformed run-length"},                                // negative run ('-' is no digit)
+		{"4Z", 4, "unknown design status"},                                // unknown status rune
+		{"4D 2P", 6, "malformed run-length"},                              // stray byte
+		{"999999999999999999999D", maxStatusLen, "bad run length"},        // overflows int
+		{"999999999D", 999999999, "outside"},                              // exceeds maxStatusLen
+		{fmt.Sprintf("%dD", maxStatusLen+1), maxStatusLen + 1, "outside"}, // one past maxStatusLen
+		{"", -1, "outside"},                                               // negative count
+		{"4D2P", 5, "more than its 5 designs"},                            // second run overshoots
+		{"268435455D", 1470, "more than its 1470 designs"},                // overshoots at once
+		{"4D", 5, "4 of its 5 designs"},                                   // falls short
 	} {
-		if _, err := decodeStatusRLE(enc, maxStatusLen); err == nil {
-			t.Fatalf("decodeStatusRLE(%q) accepted", enc)
+		_, err := parseStatusRLE(c.enc, c.n)
+		if !errors.Is(err, ErrCheckpointMismatch) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("parseStatusRLE(%q, %d) = %v, want %v naming %q", c.enc, c.n, err, ErrCheckpointMismatch, c.want)
 		}
+	}
+	// The bound itself is a valid count; parsing never expands the runs.
+	if runs, err := parseStatusRLE(fmt.Sprintf("%dD", maxStatusLen), maxStatusLen); err != nil || len(runs) != 1 {
+		t.Fatalf("parseStatusRLE at maxStatusLen = %v, %v; want one run", runs, err)
 	}
 }
 

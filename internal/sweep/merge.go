@@ -46,23 +46,6 @@ type MergeReport struct {
 // is done or permanently failed.
 func (r MergeReport) Complete() bool { return r.Pending == 0 && r.FailedOnce == 0 }
 
-// statusCounts tallies one slice of a status string.
-func statusCounts(status []byte, lo, hi int) (done, pending, failedOnce, failedPerm int) {
-	for _, s := range status[lo:hi] {
-		switch s {
-		case statusDone:
-			done++
-		case statusPending:
-			pending++
-		case statusFailedOnce:
-			failedOnce++
-		case statusFailedPerm:
-			failedPerm++
-		}
-	}
-	return
-}
-
 // Progress loads one checkpoint file and reports the per-status design
 // counts inside its shard slice, without merging or modifying anything —
 // the read-only inspection the network coordinator uses to verify a lease's
@@ -109,14 +92,16 @@ func ProgressWithin(path string, sh Shard) (ShardProgress, error) {
 	return p, nil
 }
 
-// mergeInput is one loaded, validated source checkpoint.
+// mergeInput is one loaded, validated source checkpoint: its status as
+// runs covering n designs, and its shard slice [start, end).
 type mergeInput struct {
-	path   string
-	ck     *checkpointFile
-	shard  Shard
-	status []byte
-	start  int
-	end    int
+	path  string
+	ck    *checkpointFile
+	shard Shard
+	runs  []statusRun
+	n     int
+	start int
+	end   int
 }
 
 // MergeCheckpoints folds any set of shard checkpoint files — complete or
@@ -149,7 +134,7 @@ func MergeCheckpoints(dst string, srcs ...string) (MergeReport, error) {
 		if err != nil {
 			return MergeReport{}, err
 		}
-		status, err := ck.statusBytes()
+		runs, n, err := ck.statusRuns()
 		if err != nil {
 			return MergeReport{}, fmt.Errorf("%s: %w", path, err)
 		}
@@ -157,8 +142,8 @@ func MergeCheckpoints(dst string, srcs ...string) (MergeReport, error) {
 		if err != nil {
 			return MergeReport{}, fmt.Errorf("%s: %w", path, err)
 		}
-		lo, hi := shard.Bounds(len(status))
-		inputs = append(inputs, mergeInput{path: path, ck: ck, shard: shard, status: status, start: lo, end: hi})
+		lo, hi := shard.Bounds(n)
+		inputs = append(inputs, mergeInput{path: path, ck: ck, shard: shard, runs: runs, n: n, start: lo, end: hi})
 	}
 
 	ref := inputs[0]
@@ -167,9 +152,9 @@ func MergeCheckpoints(dst string, srcs ...string) (MergeReport, error) {
 			return MergeReport{}, fmt.Errorf("%w: %s has space hash %s, %s has %s",
 				ErrCheckpointMismatch, in.path, in.ck.SpaceHash, ref.path, ref.ck.SpaceHash)
 		}
-		if len(in.status) != len(ref.status) {
+		if in.n != ref.n {
 			return MergeReport{}, fmt.Errorf("%w: %s covers %d designs, %s covers %d",
-				ErrCheckpointMismatch, in.path, len(in.status), ref.path, len(ref.status))
+				ErrCheckpointMismatch, in.path, in.n, ref.path, ref.n)
 		}
 	}
 
@@ -183,7 +168,7 @@ func MergeCheckpoints(dst string, srcs ...string) (MergeReport, error) {
 		return inputs[i].end < inputs[j].end
 	})
 
-	n := len(ref.status)
+	n := ref.n
 	merged := make([]byte, n)
 	for i := range merged {
 		merged[i] = statusPending
@@ -199,8 +184,11 @@ func MergeCheckpoints(dst string, srcs ...string) (MergeReport, error) {
 
 	rep := MergeReport{Total: n}
 	for _, in := range inputs {
-		for i, s := range in.status {
-			merged[i] = joinStatus(merged[i], s)
+		i := 0
+		for _, r := range in.runs {
+			for end := i + r.n; i < end; i++ {
+				merged[i] = joinStatus(merged[i], r.s)
+			}
 		}
 		if in.ck.Best != nil {
 			o := in.ck.Best.outcome()
@@ -221,11 +209,11 @@ func MergeCheckpoints(dst string, srcs ...string) (MergeReport, error) {
 		retried += in.ck.Retried
 		recovered += in.ck.Recovered
 
-		p := ShardProgress{Path: in.path, Shard: in.shard, Designs: len(in.status), Start: in.start, End: in.end, SpaceHash: in.ck.SpaceHash}
-		p.Done, p.Pending, p.FailedOnce, p.FailedPerm = statusCounts(in.status, in.start, in.end)
+		p := ShardProgress{Path: in.path, Shard: in.shard, Designs: in.n, Start: in.start, End: in.end, SpaceHash: in.ck.SpaceHash}
+		p.Done, p.Pending, p.FailedOnce, p.FailedPerm = runCounts(in.runs, in.start, in.end)
 		rep.Inputs = append(rep.Inputs, p)
 	}
-	rep.Done, rep.Pending, rep.FailedOnce, rep.FailedPerm = statusCounts(merged, 0, n)
+	rep.Done, rep.Pending, rep.FailedOnce, rep.FailedPerm = runCounts(runsOf(merged), 0, n)
 
 	out := &checkpointFile{
 		Version:   checkpointVersion,

@@ -595,7 +595,7 @@ func (r *runner) evalBatch(ctx context.Context, batch []int, useMemo bool) ([]ex
 		r.missErrs = make([]error, len(batch))
 	}
 	outcomes, errs := r.outcomes[:len(batch)], r.errs[:len(batch)]
-	misses := r.misses[:0]
+	misses, designs := r.misses[:0], r.missDesigns[:0]
 	for k, i := range batch {
 		if useMemo && r.memo != nil {
 			if o, ok := r.memo.get(r.designs[i]); ok {
@@ -604,21 +604,10 @@ func (r *runner) evalBatch(ctx context.Context, batch []int, useMemo bool) ([]ex
 			}
 		}
 		misses = append(misses, k)
+		designs = append(designs, r.designs[i])
 	}
-	n := len(misses)
-	if n == 0 {
-		return outcomes, errs
-	}
-	designs := r.missDesigns[:n]
-	for m, k := range misses {
-		designs[m] = r.designs[batch[k]]
-	}
-	// Without a hit the misses are the batch itself: evaluate in place.
-	missOut, missErrs := outcomes, errs
-	if n < len(batch) {
-		missOut, missErrs = r.missOutcomes[:n], r.missErrs[:n]
-	}
-	workers := min(runtime.GOMAXPROCS(0), n)
+	missOut, missErrs := r.missOutcomes[:len(misses)], r.missErrs[:len(misses)]
+	workers := min(runtime.GOMAXPROCS(0), len(misses))
 	for len(r.evals) < workers {
 		ev := r.in.NewEvaluator()
 		// The fold drops SoC traces anyway (see fold); discarding them at
@@ -642,6 +631,9 @@ func (r *runner) evalBatch(ctx context.Context, batch []int, useMemo bool) ([]ex
 // skipped fold would change nothing: the twin precedes the design in fold
 // order, their outcomes differ only in Design, the optimum only moves on a
 // strictly better outcome, and the frontier keeps the first exact duplicate.
+// Where the year memo serves the run it also holds every representative
+// done earlier in this pass; this rule alone covers representatives
+// restored from a checkpoint and runs the memo does not serve.
 func (r *runner) reuseTwins(batch []int) []int {
 	if r.twins == nil {
 		return batch
